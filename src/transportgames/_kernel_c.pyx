@@ -2,8 +2,10 @@
 # distutils: language = c++
 """Compiled enumeration kernels over scale-normalized int64 distances.
 
-Same contract as ``_kernel_py``. Selected automatically when built and when
-the scaled distances fit comfortably in 64-bit arithmetic; see ``engine``.
+Same scan, SPE and Zermelo contract as ``_kernel_py``, whose docstring gives
+the argument and return layouts (``code_stats`` exists only there). Selected
+automatically when built and when the scaled distances fit comfortably in
+64-bit arithmetic; see ``engine``.
 """
 
 from libc.stdint cimport int64_t
@@ -13,8 +15,6 @@ from libcpp.algorithm cimport sort as cpp_sort
 from .errors import SetOverflowError
 
 ctypedef int64_t i64
-
-D_CODE, E_CODE, U_CODE = 0, 1, 2
 
 
 cdef void _fill_i64(vector[i64]& dst, seq):
@@ -34,10 +34,10 @@ cdef void _build_ranks(int n, int m, int* perm, int* rank) noexcept nogil:
             rank[j * n + perm[j * n + pos]] = pos
 
 
-cdef void _eval_outcome(int n, int m, int width, i64* dist, int* perm,
-                        int* sigma, i64* costs, int* first, int* nxt) noexcept nogil:
+cdef i64 _eval_outcome(int n, int m, int width, i64* dist, int* perm,
+                       int* sigma, i64* costs, int* nxt) noexcept nogil:
     cdef int j, pos, q, nxtv, base, nbase
-    cdef i64 acc
+    cdef i64 acc, bus_total = 0
     for j in range(m):
         base = j * n
         nbase = j * (n + 1)
@@ -53,26 +53,19 @@ cdef void _eval_outcome(int n, int m, int width, i64* dist, int* perm,
                 nxt[nbase + pos] = q
             else:
                 nxt[nbase + pos] = nxt[nbase + pos + 1]
-        first[j] = nxt[nbase]
+        bus_total += acc
+    return bus_total
 
 
-cdef i64 _social_value(int n, int m, int fcode, i64* costs, int* first) noexcept nogil:
-    cdef i64 total = 0
-    cdef int i, j
-    if fcode == 0:
-        for j in range(m):
-            if first[j] >= 0:
-                total += costs[first[j]]
-        return total
-    if fcode == 1:
-        total = costs[0]
-        for i in range(1, n):
-            if costs[i] > total:
-                total = costs[i]
-        return total
+cdef void _social_values(int n, i64 bus_total, i64* costs, i64* values) noexcept nogil:
+    cdef int i
+    values[0] = bus_total
+    values[1] = costs[0]
+    values[2] = 0
     for i in range(n):
-        total += costs[i]
-    return total
+        if costs[i] > values[1]:
+            values[1] = costs[i]
+        values[2] += costs[i]
 
 
 cdef bint _has_improvement(int n, int m, int width, i64* dist, int* sigma,
@@ -94,43 +87,57 @@ cdef bint _has_improvement(int n, int m, int width, i64* dist, int* sigma,
     return False
 
 
-def _scan(int n, int m, dist_seq, perms_seq, int fcode, int lead,
+def _scan(int n, int m, dist_seq, perms_seq, fcodes_seq, int lead,
           bint want_nash, bint collect):
     cdef vector[i64] dist
     cdef vector[int] perm
+    cdef vector[int] fcodes
     _fill_i64(dist, dist_seq)
     _fill_int(perm, perms_seq)
+    _fill_int(fcodes, fcodes_seq)
     cdef int width = n + 1
     cdef vector[int] rank = vector[int](m * n)
     _build_ranks(n, m, &perm[0], &rank[0])
     cdef vector[int] sigma = vector[int](n)
     cdef vector[i64] costs = vector[i64](n)
-    cdef vector[int] first = vector[int](m)
     cdef vector[int] nxt = vector[int](m * (n + 1))
+    cdef i64 values[3]
 
     cdef i64 total = lead
-    cdef int i
+    cdef int i, k = <int> fcodes.size()
     for i in range(n - 1):
         total *= m
 
+    cdef vector[i64] opt = vector[i64](k, 0)
+    cdef vector[i64] aopt = vector[i64](k, -1)
+    cdef vector[i64] kmin = vector[i64](k, 0)
+    cdef vector[i64] akmin = vector[i64](k, -1)
+    cdef vector[i64] kmax = vector[i64](k, 0)
+    cdef vector[i64] akmax = vector[i64](k, -1)
     codes = [] if collect else None
     cdef i64 count = 0, code = 0
-    cdef i64 minv = 0, maxv = 0, amin = -1, amax = -1
     cdef i64 v
     cdef bint keep
     while True:
-        _eval_outcome(n, m, width, &dist[0], &perm[0], &sigma[0], &costs[0], &first[0], &nxt[0])
+        _social_values(n, _eval_outcome(n, m, width, &dist[0], &perm[0], &sigma[0], &costs[0], &nxt[0]),
+                       &costs[0], values)
         keep = True
-        if want_nash and _has_improvement(n, m, width, &dist[0], &sigma[0], &costs[0], &rank[0], &nxt[0]):
-            keep = False
+        if want_nash:
+            for i in range(k):
+                v = values[fcodes[i]]
+                if v < opt[i] or aopt[i] < 0:
+                    opt[i] = v
+                    aopt[i] = code
+            keep = not _has_improvement(n, m, width, &dist[0], &sigma[0], &costs[0], &rank[0], &nxt[0])
         if keep:
-            v = _social_value(n, m, fcode, &costs[0], &first[0])
-            if amin < 0 or v < minv:
-                minv = v
-                amin = code
-            if amax < 0 or v > maxv:
-                maxv = v
-                amax = code
+            for i in range(k):
+                v = values[fcodes[i]]
+                if v < kmin[i] or akmin[i] < 0:
+                    kmin[i] = v
+                    akmin[i] = code
+                if v > kmax[i] or akmax[i] < 0:
+                    kmax[i] = v
+                    akmax[i] = code
             count += 1
             if collect:
                 codes.append(code)
@@ -144,18 +151,19 @@ def _scan(int n, int m, dist_seq, perms_seq, int fcode, int lead,
                 break
             sigma[i] = 0
             i -= 1
-    return codes, count, minv, amin, maxv, amax
+    optimum = tuple([(opt[f], aopt[f]) for f in range(k)])
+    kept = tuple([(kmin[f], akmin[f], kmax[f], akmax[f]) for f in range(k)])
+    return codes, count, optimum, kept
 
 
-def scan_social(int n, int m, dist_seq, perms_seq, int fcode, int lead):
-    """(min, argmin code, max, argmax code) of a social function over all outcomes."""
-    _, _, minv, amin, maxv, amax = _scan(n, m, dist_seq, perms_seq, fcode, lead, False, False)
-    return minv, amin, maxv, amax
+def scan_social(int n, int m, dist_seq, perms_seq, fcodes_seq, int lead):
+    """Per social function in ``fcodes``: (min, argmin, max, argmax) over all outcomes."""
+    return _scan(n, m, dist_seq, perms_seq, fcodes_seq, lead, False, False)[3]
 
 
-def scan_nash(int n, int m, dist_seq, perms_seq, int fcode, int lead, bint collect):
-    """Nash filter: (codes or None, count, min, argmin, max, argmax) over equilibria."""
-    return _scan(n, m, dist_seq, perms_seq, fcode, lead, True, collect)
+def scan_nash(int n, int m, dist_seq, perms_seq, fcodes_seq, int lead, bint collect):
+    """One pass: Nash filter plus optimum and equilibrium statistics; see ``_kernel_py``."""
+    return _scan(n, m, dist_seq, perms_seq, fcodes_seq, lead, True, collect)
 
 
 cdef i64 _cost_from_code(int player, i64 code, int n, int m, int width,

@@ -10,20 +10,34 @@ Shared argument layout (everything 0-based):
     dist        flat (n+1)*(n+1) tuple of scaled integer distances; index n = destination
     perms       flat m*n tuple; ``perms[j*n + pos]`` is the player at pickup position
                 ``pos`` of bus ``j``
-    fcode       social function: 0 = bus-distance total, 1 = worst cost, 2 = cost sum
+    fcodes      tuple of social function codes wanted: 0 = bus-distance total (D),
+                1 = worst cost (E), 2 = cost sum (U)
     lead        how many buses the first player may use (m normally, 1 under
                 symmetry reduction)
     order       flat n tuple for the sequential engines; ``order[k]`` is the player
                 moving at stage ``k``
 
 Outcome codes are lexicographic ranks: ``code = sum(sigma[i] * m**(n-1-i))``.
+
+One scan evaluates each outcome once and derives D, E and U from the same
+cost vector. Its statistics come back with one entry per element of
+``fcodes``, in that order:
+    optimum     (min, argmin) over every scanned outcome
+    kept        (min, argmin, max, argmax) over the kept outcomes: the Nash
+                equilibria for `scan_nash`, every outcome for `scan_social`
+Ties go to the lowest code, the lexicographically first outcome. Over an
+empty set the values read 0 and the codes -1.
+
+    scan_nash(n, m, dist, perms, fcodes, lead, collect) -> (codes or None, count, optimum, kept)
+    scan_social(n, m, dist, perms, fcodes, lead)         -> kept
+    code_stats(n, m, dist, perms, fcodes, codes)         -> kept, over the given codes
+
+`code_stats` exists only here; it summarizes the SPE sets of both backends.
 """
 
 from __future__ import annotations
 
 from .errors import SetOverflowError
-
-D_CODE, E_CODE, U_CODE = 0, 1, 2
 
 
 def _ranks(n, m, perms):
@@ -35,9 +49,11 @@ def _ranks(n, m, perms):
     return rank
 
 
-def _eval_outcome(n, m, width, dist, perms, sigma, costs, first, nxt):
+def _eval_outcome(n, m, width, dist, perms, sigma, costs, nxt):
     # Backward pass per bus: suffix costs plus "first subscriber at or after
-    # position" lookup tables used by the deviation checks.
+    # position" lookup tables used by the deviation checks. Returns the total
+    # the buses drive (D): a bus drives exactly its first pickup's cost.
+    bus_total = 0
     for j in range(m):
         base = j * n
         narr = nxt[j]
@@ -53,20 +69,13 @@ def _eval_outcome(n, m, width, dist, perms, sigma, costs, first, nxt):
                 narr[pos] = q
             else:
                 narr[pos] = narr[pos + 1]
-        first[j] = narr[0]
+        bus_total += acc
+    return bus_total
 
 
-def _social_value(n, m, fcode, costs, first):
-    if fcode == D_CODE:
-        total = 0
-        for j in range(m):
-            f = first[j]
-            if f >= 0:
-                total += costs[f]
-        return total
-    if fcode == E_CODE:
-        return max(costs)
-    return sum(costs)
+def _social_values(bus_total, costs):
+    # Indexed by social function code: D, E, U.
+    return bus_total, max(costs), sum(costs)
 
 
 def _has_improvement(n, m, width, dist, sigma, costs, rank, nxt):
@@ -83,27 +92,40 @@ def _has_improvement(n, m, width, dist, sigma, costs, rank, nxt):
     return False
 
 
-def _scan(n, m, dist, perms, fcode, lead, want_nash, collect):
+def _kept(wanted, kmin, akmin, kmax, akmax):
+    return tuple((kmin[i], akmin[i], kmax[i], akmax[i]) for i, _ in wanted)
+
+
+def _scan(n, m, dist, perms, fcodes, lead, want_nash, collect):
     width = n + 1
     rank = _ranks(n, m, perms)
     sigma = [0] * n
     costs = [0] * n
-    first = [0] * m
     nxt = [[0] * (n + 1) for _ in range(m)]
     total = lead * m ** (n - 1)
+    wanted = tuple(enumerate(fcodes))
+    k = len(wanted)
+    opt, aopt = [0] * k, [-1] * k
+    kmin, akmin, kmax, akmax = [0] * k, [-1] * k, [0] * k, [-1] * k
     codes = [] if collect else None
     count = 0
-    minv = maxv = 0
-    amin = amax = -1
     code = 0
     while True:
-        _eval_outcome(n, m, width, dist, perms, sigma, costs, first, nxt)
-        if not want_nash or not _has_improvement(n, m, width, dist, sigma, costs, rank, nxt):
-            v = _social_value(n, m, fcode, costs, first)
-            if amin < 0 or v < minv:
-                minv, amin = v, code
-            if amax < 0 or v > maxv:
-                maxv, amax = v, code
+        values = _social_values(_eval_outcome(n, m, width, dist, perms, sigma, costs, nxt), costs)
+        keep = True
+        if want_nash:
+            for i, f in wanted:
+                v = values[f]
+                if v < opt[i] or aopt[i] < 0:
+                    opt[i], aopt[i] = v, code
+            keep = not _has_improvement(n, m, width, dist, sigma, costs, rank, nxt)
+        if keep:
+            for i, f in wanted:
+                v = values[f]
+                if v < kmin[i] or akmin[i] < 0:
+                    kmin[i], akmin[i] = v, code
+                if v > kmax[i] or akmax[i] < 0:
+                    kmax[i], akmax[i] = v, code
             count += 1
             if collect:
                 codes.append(code)
@@ -117,18 +139,50 @@ def _scan(n, m, dist, perms, fcode, lead, want_nash, collect):
                 break
             sigma[i] = 0
             i -= 1
-    return codes, count, minv, amin, maxv, amax
+    optimum = tuple((opt[i], aopt[i]) for i, _ in wanted)
+    return codes, count, optimum, _kept(wanted, kmin, akmin, kmax, akmax)
 
 
-def scan_social(n, m, dist, perms, fcode, lead):
-    """(min, argmin code, max, argmax code) of a social function over all outcomes."""
-    _, _, minv, amin, maxv, amax = _scan(n, m, dist, perms, fcode, lead, False, False)
-    return minv, amin, maxv, amax
+def scan_social(n, m, dist, perms, fcodes, lead):
+    """Per social function in ``fcodes``: (min, argmin, max, argmax) over all outcomes."""
+    return _scan(n, m, dist, perms, fcodes, lead, False, False)[3]
 
 
-def scan_nash(n, m, dist, perms, fcode, lead, collect):
-    """Nash filter: (codes or None, count, min, argmin, max, argmax) over equilibria."""
-    return _scan(n, m, dist, perms, fcode, lead, True, collect)
+def scan_nash(n, m, dist, perms, fcodes, lead, collect):
+    """One pass: Nash filter plus optimum and equilibrium statistics.
+
+    Returns (codes or None, count, optimum, kept): per social function in
+    ``fcodes``, ``optimum`` holds (min, argmin) over all outcomes and ``kept``
+    holds (min, argmin, max, argmax) over the equilibria.
+    """
+    return _scan(n, m, dist, perms, fcodes, lead, True, collect)
+
+
+def code_stats(n, m, dist, perms, fcodes, codes):
+    """Per social function in ``fcodes``: (min, argmin, max, argmax) over ``codes``.
+
+    Ties go to the earliest code given; `spe_codes` returns its set sorted,
+    so they go to the lexicographically first outcome.
+    """
+    width = n + 1
+    sigma = [0] * n
+    costs = [0] * n
+    nxt = [[0] * (n + 1) for _ in range(m)]
+    wanted = tuple(enumerate(fcodes))
+    k = len(wanted)
+    kmin, akmin, kmax, akmax = [0] * k, [-1] * k, [0] * k, [-1] * k
+    for code in codes:
+        c = code
+        for q in range(n - 1, -1, -1):
+            c, sigma[q] = divmod(c, m)
+        values = _social_values(_eval_outcome(n, m, width, dist, perms, sigma, costs, nxt), costs)
+        for i, f in wanted:
+            v = values[f]
+            if v < kmin[i] or akmin[i] < 0:
+                kmin[i], akmin[i] = v, code
+            if v > kmax[i] or akmax[i] < 0:
+                kmax[i], akmax[i] = v, code
+    return _kept(wanted, kmin, akmin, kmax, akmax)
 
 
 def _cost_closure(n, m, width, dist, perms, rank, weight):

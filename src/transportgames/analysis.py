@@ -36,10 +36,15 @@ from .errors import (
     SetOverflowError,
 )
 from .families import build_family
-from .sequential import DEFAULT_NODE_SET_CAP, spe_outcomes, spoa, spos
+
+# enumerate_nash, optimal_social, poa, pos, spe_outcomes, spoa and spos are
+# not used here; they stay importable from this module.
+from .sequential import DEFAULT_NODE_SET_CAP, spe_outcomes, spe_summary, spoa, spos
 from .simultaneous import (
     DEFAULT_OUTCOME_BUDGET,
+    EquilibriumSummary,
     enumerate_nash,
+    nash_summary,
     optimal_social,
     poa,
     pos,
@@ -95,60 +100,43 @@ def analyze(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if symmetry_reduction and mode == "sequential":
+        raise ValueError("symmetry reduction applies to the simultaneous mode only")
     for tag in functions:
         if tag not in SOCIAL_TAGS:
             raise ValueError(f"unknown social function {tag!r}")
     started = time.perf_counter()
 
     if mode == "simultaneous":
-        equilibria = enumerate_nash(
-            inst, budget=budget, backend=backend, symmetry_reduction=symmetry_reduction
-        )
+        summary = nash_summary(inst, budget=budget, backend=backend, symmetry_reduction=symmetry_reduction)
         resolved_order = None
     else:
-        equilibria = spe_outcomes(inst, order=order, budget=budget, node_set_cap=node_set_cap, backend=backend)
+        summary = spe_summary(inst, order=order, budget=budget, node_set_cap=node_set_cap, backend=backend)
         resolved_order = tuple(order) if order is not None else tuple(range(1, inst.n + 1))
 
-    blocks = []
-    for tag in functions:
-        optimal_value, optimal_witness = optimal_social(
-            inst, tag, budget=budget, backend=backend, symmetry_reduction=symmetry_reduction and mode == "simultaneous"
-        )
-        errors: list[str] = []
-        minv = maxv = None
-        best_ratio = worst_ratio = None
-        best_witness = worst_witness = None
-        if len(equilibria) == 0:
-            errors.append("NoEquilibrium")
-        else:
-            minv, best_witness = equilibria.min_social(tag)
-            maxv, worst_witness = equilibria.max_social(tag)
-        if optimal_value == 0:
-            errors.append("DegenerateOptimum")
-        elif minv is not None and maxv is not None:
-            best_ratio = minv / optimal_value
-            worst_ratio = maxv / optimal_value
-        blocks.append(
-            FunctionReport(
-                function=tag,
-                optimal_value=optimal_value,
-                optimal_witness=optimal_witness,
-                equilibrium_count=len(equilibria),
-                min_equilibrium_value=minv,
-                max_equilibrium_value=maxv,
-                best_ratio=best_ratio,
-                worst_ratio=worst_ratio,
-                best_witness=best_witness,
-                worst_witness=worst_witness,
-                errors=tuple(errors),
-            )
-        )
+    blocks = tuple(_function_report(summary, tag) for tag in functions)
     return AnalysisReport(
         digest=instance_digest(inst),
         mode=mode,
         order=resolved_order,
-        functions=tuple(blocks),
+        functions=blocks,
         elapsed_seconds=time.perf_counter() - started,
+    )
+
+
+def _function_report(summary: EquilibriumSummary, tag: SocialTag) -> FunctionReport:
+    optimal_value, optimal_witness = summary.read(tag, "optimal")
+    errors = () if summary.count else ("NoEquilibrium",)
+    best = worst = ratios = (None, None)
+    if summary.count:
+        best, worst = summary.read(tag, "best"), summary.read(tag, "worst")
+    if optimal_value == 0:
+        errors += ("DegenerateOptimum",)
+    elif summary.count:
+        ratios = (best[0] / optimal_value, worst[0] / optimal_value)
+    # Fields in order: values, then ratios, then witnesses, each best before worst.
+    return FunctionReport(
+        tag, optimal_value, optimal_witness, summary.count, best[0], worst[0], *ratios, best[1], worst[1], errors
     )
 
 
@@ -421,14 +409,23 @@ class SweepResult:
         return all(row.passed is True for row in self.rows)
 
 
-def _measure_value(inst: Instance, measure: str, function: SocialTag, budget: int, node_set_cap: int, backend):
-    if measure == "poa":
-        return poa(inst, function, budget=budget, backend=backend).ratio
-    if measure == "pos":
-        return pos(inst, function, budget=budget, backend=backend).ratio
-    if measure == "spoa":
-        return spoa(inst, function, budget=budget, node_set_cap=node_set_cap, backend=backend).ratio
-    return spos(inst, function, budget=budget, node_set_cap=node_set_cap, backend=backend).ratio
+# Sweep measure ("poa", ...) -> (mode, worst, measure name) of the ratio it reads.
+_SWEEP_RATIOS = {
+    name.lower(): (mode, name == names[0], name) for mode, names in MEASURE_NAMES.items() for name in names
+}
+_ROW_ERRORS = (BudgetExceededError, NoEquilibriumError, DegenerateOptimumError, SetOverflowError, ValueError)
+
+
+def _point_summary(inst: Instance, mode: str, nash, budget: int, node_set_cap: int, backend):
+    """One mode's summary of a sweep point, or the error building it raised.
+    The sequential summary takes the optimum from a built Nash summary."""
+    try:
+        if mode == "simultaneous":
+            return nash_summary(inst, budget=budget, backend=backend)
+        optimum = nash.optimum if isinstance(nash, EquilibriumSummary) else None
+        return spe_summary(inst, budget=budget, node_set_cap=node_set_cap, backend=backend, optimum=optimum)
+    except _ROW_ERRORS as exc:
+        return exc
 
 
 def run_verify_bounds(
@@ -459,12 +456,18 @@ def run_verify_bounds(
                 continue  # non-numeric parameters (e.g. a permutation scheme)
         env.setdefault("n", Fraction(inst.n))
         env.setdefault("m", Fraction(inst.m))
+        built: dict[str, EquilibriumSummary | Exception] = {}  # per mode, on first use
         for rule in spec.rules:
             measured = None
             error = None
             passed: bool | None = None
             try:
-                measured = _measure_value(inst, rule.measure, rule.function, budget, node_set_cap, backend)
+                mode, worst, name = _SWEEP_RATIOS[rule.measure]
+                if mode not in built:
+                    built[mode] = _point_summary(inst, mode, built.get("simultaneous"), budget, node_set_cap, backend)
+                if isinstance(built[mode], Exception):
+                    raise built[mode]
+                measured = built[mode].ratio(rule.function, worst, name).ratio
                 if rule.relation == "between":
                     low = eval_bound_expr(rule.lower, env)
                     high = eval_bound_expr(rule.upper, env)
@@ -477,7 +480,7 @@ def run_verify_bounds(
                         passed = measured >= expected
                     else:
                         passed = measured <= expected
-            except (BudgetExceededError, NoEquilibriumError, DegenerateOptimumError, SetOverflowError, ValueError) as exc:
+            except _ROW_ERRORS as exc:
                 error = f"{type(exc).__name__}: {exc}"
             rows.append(SweepRow(point_items, rule.function, rule.measure, measured, rule.describe(), passed, error))
     return SweepResult(spec.family, tuple(rows))

@@ -43,11 +43,22 @@ class RationalType(click.ParamType):
 RATIONAL = RationalType()
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """`click.echo` to a stream looked up for this call.
+
+    Left to find the stream itself, click caches a wrapper for each
+    sys.stdout or sys.stderr object it meets, and the cache keeps those
+    objects alive: every in-process invocation through click's CliRunner (the
+    tests and perfbench run the CLI this way) would leak its captured output.
+    """
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"), nl=nl)
+
+
 def _read_instance(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        click.echo(f"cannot read {path}: {exc}", err=True)
+        _echo(f"cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
     return loads_instance(text)
 
@@ -65,9 +76,9 @@ def validate(file: str):
         _read_instance(file)
     except MalformedInstanceError as exc:
         for violation in exc.violations:
-            click.echo(str(violation), err=True)
+            _echo(str(violation), err=True)
         sys.exit(EXIT_VALIDATION)
-    click.echo("OK")
+    _echo("OK")
 
 
 @main.command()
@@ -96,15 +107,15 @@ def generate(family: str, output: str | None, **params):
     try:
         inst = build_family(family, provided)
     except ParameterDomainError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     if output is None:
-        click.echo(dumps_instance(inst), nl=False)
+        _echo(dumps_instance(inst), nl=False)
     else:
         try:
             save_instance(inst, output)
         except OSError as exc:
-            click.echo(f"cannot write {output}: {exc}", err=True)
+            _echo(f"cannot write {output}: {exc}", err=True)
             sys.exit(EXIT_IO)
 
 
@@ -114,7 +125,7 @@ def _parse_order(order: str | None) -> tuple[int, ...] | None:
     try:
         return tuple(int(piece) for piece in order.split(","))
     except ValueError:
-        click.echo(f"error: --order must be a comma-separated permutation, got {order!r}", err=True)
+        _echo(f"error: --order must be a comma-separated permutation, got {order!r}", err=True)
         sys.exit(EXIT_VALIDATION)
 
 
@@ -126,7 +137,12 @@ def _parse_order(order: str | None) -> tuple[int, ...] | None:
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="table", show_default=True)
 @click.option("--budget-outcomes", type=int, default=10**7, show_default=True, help="Cap on m^n.")
 @click.option("--budget-node-set", type=int, default=10**6, show_default=True, help="Per-node result-set cap.")
-@click.option("--symmetry-reduction", is_flag=True, default=False, help="Fix player 1's bus (equal permutations only).")
+@click.option(
+    "--symmetry-reduction",
+    is_flag=True,
+    default=False,
+    help="Fix player 1's bus (simultaneous mode, equal permutations only).",
+)
 def analyze_cmd(
     file: str,
     mode: str,
@@ -142,7 +158,7 @@ def analyze_cmd(
         inst = _read_instance(file)
     except MalformedInstanceError as exc:
         for violation in exc.violations:
-            click.echo(str(violation), err=True)
+            _echo(str(violation), err=True)
         sys.exit(EXIT_VALIDATION)
     functions = tuple(tag.strip() for tag in social.split(",") if tag.strip())
     try:
@@ -156,12 +172,12 @@ def analyze_cmd(
             symmetry_reduction=symmetry_reduction,
         )
     except (BudgetExceededError, SetOverflowError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    click.echo(serialize_report(report, fmt=fmt), nl=False)
+    _echo(serialize_report(report, fmt=fmt), nl=False)
 
 
 @main.command("verify-bounds")
@@ -178,13 +194,13 @@ def verify_bounds_cmd(spec_path: str, fmt: str, budget_outcomes: int, budget_nod
     try:
         spec = load_sweep(spec_path)
     except OSError as exc:
-        click.echo(f"cannot read {spec_path}: {exc}", err=True)
+        _echo(f"cannot read {spec_path}: {exc}", err=True)
         sys.exit(EXIT_IO)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     result = run_verify_bounds(spec, budget=budget_outcomes, node_set_cap=budget_node_set)
-    click.echo(render_sweep(result, fmt=fmt), nl=False)
+    _echo(render_sweep(result, fmt=fmt), nl=False)
     if not result.all_passed:
         sys.exit(EXIT_VALIDATION)
 

@@ -16,6 +16,7 @@ from itertools import product
 from typing import Sequence
 
 from . import engine
+from ._kernel_py import code_stats
 from .core import (
     CostVector,
     Instance,
@@ -25,14 +26,16 @@ from .core import (
     cost_vector,
     evaluate_outcomes,
 )
-from .errors import DegenerateOptimumError, OracleBudgetExceededError
+from .errors import OracleBudgetExceededError
 from .simultaneous import (
     DEFAULT_OUTCOME_BUDGET,
+    FCODES,
+    EquilibriumSummary,
     RatioReport,
     _decode,
-    _require_budget,
+    _kernel,
     _require_tag,
-    optimal_social,
+    optimal_social,  # unused here; kept importable from this module
 )
 
 DEFAULT_NODE_SET_CAP = 10**6
@@ -50,6 +53,13 @@ def _resolve_order(inst: Instance, order: Sequence[int] | None) -> MoveOrder:
     return resolved
 
 
+def _spe_codes(inst: Instance, order, budget: int, node_set_cap: int, backend: str | None):
+    order_t = _resolve_order(inst, order)
+    view, kern = _kernel(inst, budget, backend)
+    codes = kern.spe_codes(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t), node_set_cap)
+    return view, kern, codes
+
+
 def spe_outcomes(
     inst: Instance,
     order: Sequence[int] | None = None,
@@ -63,11 +73,7 @@ def spe_outcomes(
     profile. Raises `SetOverflowError` when a per-node result set exceeds
     `node_set_cap`.
     """
-    order_t = _resolve_order(inst, order)
-    _require_budget(inst, budget)
-    view = engine.scaled_view(inst)
-    kern = engine.resolve_backend(view, backend)
-    codes = kern.spe_codes(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t), node_set_cap)
+    codes = _spe_codes(inst, order, budget, node_set_cap, backend)[2]
     return evaluate_outcomes(inst, [_decode(c, inst.n, inst.m) for c in codes])
 
 
@@ -83,9 +89,7 @@ def zermelo_outcome(
     reproducible; it always belongs to `spe_outcomes`.
     """
     order_t = _resolve_order(inst, order)
-    _require_budget(inst, budget)
-    view = engine.scaled_view(inst)
-    kern = engine.resolve_backend(view, backend)
+    view, kern = _kernel(inst, budget, backend)
     code = kern.zermelo_code(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t))
     sigma = _decode(code, inst.n, inst.m)
     return sigma, cost_vector(inst, sigma)
@@ -188,23 +192,23 @@ def spe_oracle(
     return evaluate_outcomes(inst, sorted(realized))
 
 
-def _spe_ratio(
+def spe_summary(
     inst: Instance,
-    function: SocialTag,
-    want_worst: bool,
-    measure: str,
-    order: Sequence[int] | None,
-    budget: int,
-    node_set_cap: int,
-    backend: str | None,
-) -> RatioReport:
-    _require_tag(function)
-    spe = spe_outcomes(inst, order=order, budget=budget, node_set_cap=node_set_cap, backend=backend)
-    optimal_value, optimal_witness = optimal_social(inst, function, budget=budget, backend=backend)
-    if optimal_value == 0:
-        raise DegenerateOptimumError(f"optimal {function} is zero; the ratio is undefined")
-    value, witness = spe.max_social(function) if want_worst else spe.min_social(function)
-    return RatioReport(measure, function, value, optimal_value, value / optimal_value, witness, optimal_witness)
+    order: Sequence[int] | None = None,
+    budget: int = DEFAULT_OUTCOME_BUDGET,
+    node_set_cap: int = DEFAULT_NODE_SET_CAP,
+    backend: str | None = None,
+    optimum: tuple[tuple[int, int], ...] | None = None,
+) -> EquilibriumSummary:
+    """The SPE-realizable outcomes and the optimum of every social function:
+    SPE induction, integer statistics of its set, and one kernel pass for the
+    optimum unless another summary of `inst` already holds it.
+    """
+    view, kern, codes = _spe_codes(inst, order, budget, node_set_cap, backend)
+    n, m, dist, perms = view.n, view.m, view.dist, view.perms
+    if optimum is None:
+        optimum = tuple(stats[:2] for stats in kern.scan_social(n, m, dist, perms, FCODES, m))
+    return EquilibriumSummary(view, len(codes), optimum, code_stats(n, m, dist, perms, FCODES, codes))
 
 
 def spoa(
@@ -216,7 +220,8 @@ def spoa(
     backend: str | None = None,
 ) -> RatioReport:
     """Sequential price of anarchy: worst SPE-outcome value over the optimum."""
-    return _spe_ratio(inst, function, True, "SPoA", order, budget, node_set_cap, backend)
+    _require_tag(function)
+    return spe_summary(inst, order, budget, node_set_cap, backend).ratio(function, True, "SPoA")
 
 
 def spos(
@@ -228,4 +233,5 @@ def spos(
     backend: str | None = None,
 ) -> RatioReport:
     """Sequential price of stability: best SPE-outcome value over the optimum."""
-    return _spe_ratio(inst, function, False, "SPoS", order, budget, node_set_cap, backend)
+    _require_tag(function)
+    return spe_summary(inst, order, budget, node_set_cap, backend).ratio(function, False, "SPoS")

@@ -29,6 +29,7 @@ from .errors import BudgetExceededError, DegenerateOptimumError, NoEquilibriumEr
 DEFAULT_OUTCOME_BUDGET = 10**7
 
 _FCODE = {"D": 0, "E": 1, "U": 2}
+FCODES = (0, 1, 2)
 
 
 def outcome_space_size(inst: Instance) -> int:
@@ -39,6 +40,13 @@ def _require_budget(inst: Instance, budget: int) -> None:
     size = outcome_space_size(inst)
     if size > budget:
         raise BudgetExceededError(f"{inst.m}^{inst.n} = {size} outcomes exceed the budget of {budget}")
+
+
+def _kernel(inst: Instance, budget: int, backend: str | None):
+    """The scaled view of `inst` and the kernel module for it, within the budget."""
+    _require_budget(inst, budget)
+    view = engine.scaled_view(inst)
+    return view, engine.resolve_backend(view, backend)
 
 
 def _require_tag(function: str) -> SocialTag:
@@ -118,11 +126,9 @@ def enumerate_nash(
     symmetry_reduction: bool = False,
 ) -> OutcomeSet:
     """Exactly the outcomes where no player has a strictly improving switch."""
-    _require_budget(inst, budget)
+    view, kern = _kernel(inst, budget, backend)
     lead = _reduced_lead(inst, symmetry_reduction)
-    view = engine.scaled_view(inst)
-    kern = engine.resolve_backend(view, backend)
-    codes, _count, *_ = kern.scan_nash(view.n, view.m, view.dist, view.perms, 0, lead, True)
+    codes = kern.scan_nash(view.n, view.m, view.dist, view.perms, (), lead, True)[0]
     outcomes = [_decode(c, inst.n, inst.m) for c in codes]
     if lead == 1:
         outcomes = _expand_bus_orbit(inst.m, outcomes)
@@ -138,15 +144,13 @@ def optimal_social(
 ) -> tuple[Fraction, Outcome]:
     """Minimum of a social function over all outcomes, with one minimizer.
 
-    Ties resolve to the lexicographically smallest outcome (of the scanned
-    range when symmetry reduction is on; the value is unaffected).
+    Ties resolve to the lexicographically smallest outcome, with or without
+    symmetry reduction (see `nash_summary`).
     """
     _require_tag(function)
-    _require_budget(inst, budget)
+    view, kern = _kernel(inst, budget, backend)
     lead = _reduced_lead(inst, symmetry_reduction)
-    view = engine.scaled_view(inst)
-    kern = engine.resolve_backend(view, backend)
-    minv, amin, _maxv, _amax = kern.scan_social(view.n, view.m, view.dist, view.perms, _FCODE[function], lead)
+    minv, amin, _maxv, _amax = kern.scan_social(view.n, view.m, view.dist, view.perms, (_FCODE[function],), lead)[0]
     return view.to_fraction(minv), _decode(amin, inst.n, inst.m)
 
 
@@ -163,34 +167,53 @@ class RatioReport:
     optimal_witness: Outcome
 
 
-def _nash_ratio(
+@dataclass(frozen=True)
+class EquilibriumSummary:
+    """An equilibrium set (Nash or SPE) and the optimum, as the scaled integer
+    values and outcome codes that reports and ratios read, per social function
+    code; they become `Fraction`s and outcomes only when read."""
+
+    view: engine.ScaledView
+    count: int
+    optimum: tuple[tuple[int, int], ...]  # (min, argmin) over all outcomes
+    kept: tuple[tuple[int, int, int, int], ...]  # (min, argmin, max, argmax) over the set
+
+    def read(self, function: SocialTag, which: str) -> tuple[Fraction, Outcome]:
+        """Value and first witness of the "optimal" outcome or of the set's "best" or "worst"."""
+        code = _FCODE[function]
+        minv, amin, maxv, amax = self.kept[code]
+        value, witness = {"optimal": self.optimum[code], "best": (minv, amin), "worst": (maxv, amax)}[which]
+        return self.view.to_fraction(value), _decode(witness, self.view.n, self.view.m)
+
+    def ratio(self, function: SocialTag, worst: bool, measure: str) -> RatioReport:
+        if self.count == 0:
+            raise NoEquilibriumError("the instance has no Nash equilibrium")
+        optimal_value, optimal_witness = self.read(function, "optimal")
+        if optimal_value == 0:
+            raise DegenerateOptimumError(f"optimal {function} is zero; the ratio is undefined")
+        value, witness = self.read(function, "worst" if worst else "best")
+        return RatioReport(measure, function, value, optimal_value, value / optimal_value, witness, optimal_witness)
+
+
+def nash_summary(
     inst: Instance,
-    function: SocialTag,
-    want_worst: bool,
-    measure: str,
-    budget: int,
-    backend: str | None,
-    symmetry_reduction: bool,
-) -> RatioReport:
-    _require_tag(function)
-    _require_budget(inst, budget)
+    budget: int = DEFAULT_OUTCOME_BUDGET,
+    backend: str | None = None,
+    symmetry_reduction: bool = False,
+) -> EquilibriumSummary:
+    """The Nash equilibria and the optimum of every social function, from one
+    kernel pass.
+
+    Symmetry reduction scans only the outcomes with player 1 on bus 1.
+    Relabeling buses maps equilibria to equilibria and keeps every value, so
+    player 1's bus splits the equilibria evenly (the count is m times the
+    scanned one), and the first outcome of each relabeling orbit, where ties
+    resolve, has player 1 on bus 1.
+    """
+    view, kern = _kernel(inst, budget, backend)
     lead = _reduced_lead(inst, symmetry_reduction)
-    view = engine.scaled_view(inst)
-    kern = engine.resolve_backend(view, backend)
-    _codes, count, minv, amin, maxv, amax = kern.scan_nash(
-        view.n, view.m, view.dist, view.perms, _FCODE[function], lead, False
-    )
-    if count == 0:
-        raise NoEquilibriumError("the instance has no Nash equilibrium")
-    optimal_value, optimal_witness = optimal_social(
-        inst, function, budget=budget, backend=backend, symmetry_reduction=symmetry_reduction
-    )
-    if optimal_value == 0:
-        raise DegenerateOptimumError(f"optimal {function} is zero; the ratio is undefined")
-    scaled = maxv if want_worst else minv
-    witness = _decode(amax if want_worst else amin, inst.n, inst.m)
-    value = view.to_fraction(scaled)
-    return RatioReport(measure, function, value, optimal_value, value / optimal_value, witness, optimal_witness)
+    _codes, count, optimum, kept = kern.scan_nash(view.n, view.m, view.dist, view.perms, FCODES, lead, False)
+    return EquilibriumSummary(view, count * (inst.m // lead), optimum, kept)
 
 
 def poa(
@@ -201,7 +224,8 @@ def poa(
     symmetry_reduction: bool = False,
 ) -> RatioReport:
     """Price of anarchy: worst Nash equilibrium value over the optimum."""
-    return _nash_ratio(inst, function, True, "PoA", budget, backend, symmetry_reduction)
+    _require_tag(function)
+    return nash_summary(inst, budget, backend, symmetry_reduction).ratio(function, True, "PoA")
 
 
 def pos(
@@ -212,4 +236,5 @@ def pos(
     symmetry_reduction: bool = False,
 ) -> RatioReport:
     """Price of stability: best Nash equilibrium value over the optimum."""
-    return _nash_ratio(inst, function, False, "PoS", budget, backend, symmetry_reduction)
+    _require_tag(function)
+    return nash_summary(inst, budget, backend, symmetry_reduction).ratio(function, False, "PoS")

@@ -128,3 +128,23 @@ def relabel_outcome(sigma, relabel: dict[int, int]):
     for player, bus in enumerate(sigma, start=1):
         moved[relabel[player] - 1] = bus
     return tuple(moved)
+
+
+def tie_instance(rng: random.Random, max_n=4, max_m=3) -> Instance:
+    """Random instance rich in exact ties: distances from a few small values,
+    zeros included, and half the time one pickup order shared by every bus."""
+    n = rng.randint(1, max_n)
+    m = rng.randint(2, max_m)
+    size = n + 1
+    dist = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            dist[i][j] = dist[j][i] = rng.choice((Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1)))
+    shared = rng.random() < 0.5
+    perms = []
+    for _ in range(m):
+        if not shared or not perms:
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+        perms.append(tuple(order))
+    return Instance(n, m, tuple(tuple(row) for row in dist), tuple(perms))

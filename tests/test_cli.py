@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import gc
+import io
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -127,11 +129,34 @@ class TestAnalyzeCommand:
         assert reduced.exit_code == 0
         assert json.loads(plain.output)["functions"] == json.loads(reduced.output)["functions"]
 
+    def test_symmetry_reduction_rejected_in_sequential_mode(self, tmp_path):
+        path = write_instance(tmp_path, tg.gen_uniform_star(3, 2, 2))
+        result = runner.invoke(main, ["analyze", path, "--mode", "sequential", "--symmetry-reduction"])
+        assert result.exit_code == 1
+        assert "symmetry reduction" in result.output
+
     def test_csv_format(self, tmp_path):
         path = write_instance(tmp_path, tg.gen_four_line())
         result = runner.invoke(main, ["analyze", path, "--social", "D,E", "--format", "csv"])
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 1 + 2 * 2
+
+
+def test_repeated_invocations_release_their_streams(tmp_path):
+    path = write_instance(tmp_path, tg.gen_four_line())
+    calls = (["analyze", path], ["analyze", str(tmp_path / "missing.json")], ["validate", path])
+
+    def live_buffers():
+        gc.collect()
+        return sum(isinstance(obj, io.BytesIO) for obj in gc.get_objects())
+
+    for args in calls:
+        runner.invoke(main, args)
+    before = live_buffers()
+    for _ in range(10):
+        for args in calls:
+            runner.invoke(main, args)
+    assert live_buffers() <= before
 
 
 class TestVerifyBounds:

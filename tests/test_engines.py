@@ -7,6 +7,7 @@ import pytest
 
 import transportgames as tg
 from transportgames import _kernel_py, engine
+from transportgames.analysis import serialize_report
 from transportgames.engine import resolve_backend, scaled_view
 
 from support import random_instance
@@ -53,14 +54,11 @@ class TestBackendParity:
         view = scaled_view(inst)
         fast = resolve_backend(view, "compiled")
         order = tuple(range(view.n))
-        for fcode in (0, 1, 2):
-            assert _kernel_py.scan_social(view.n, view.m, view.dist, view.perms, fcode, view.m) == tuple(
-                fast.scan_social(view.n, view.m, view.dist, view.perms, fcode, view.m)
-            )
-            slow_nash = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, fcode, view.m, True)
-            fast_nash = fast.scan_nash(view.n, view.m, view.dist, view.perms, fcode, view.m, True)
-            assert list(slow_nash[0]) == list(fast_nash[0])
-            assert tuple(slow_nash[1:]) == tuple(fast_nash[1:])
+        for fcodes in ((0, 1, 2), (2,), ()):
+            args = (view.n, view.m, view.dist, view.perms, fcodes, view.m)
+            assert _kernel_py.scan_social(*args) == fast.scan_social(*args)
+            for collect in (True, False):
+                assert _kernel_py.scan_nash(*args, collect) == fast.scan_nash(*args, collect)
         assert _kernel_py.spe_codes(view.n, view.m, view.dist, view.perms, order, 10**6) == list(
             fast.spe_codes(view.n, view.m, view.dist, view.perms, order, 10**6)
         )
@@ -75,6 +73,10 @@ class TestBackendParity:
         assert (
             tg.optimal_social(inst, "E", backend="pure") == tg.optimal_social(inst, "E", backend="compiled")
         )
+        for mode in ("simultaneous", "sequential"):
+            pure = tg.analyze(inst, mode, backend="pure")
+            fast = tg.analyze(inst, mode, backend="compiled")
+            assert serialize_report(pure) == serialize_report(fast)
 
     def test_compiled_set_overflow(self):
         inst = tg.gen_zero_cluster_single(3)
