@@ -1,7 +1,9 @@
 """Exact game model: instances, bus routes, player costs, and social costs.
 
-Every numeric quantity is a `fractions.Fraction`, so cost comparisons (and in
-particular tie detection inside the equilibrium engines) are exact.
+Every numeric quantity at the API boundary is a `fractions.Fraction`; inside
+the structural and metric checks the distances are common-denominator integers
+(`scaled_rows`). Either way cost comparisons, and in particular tie detection
+inside the equilibrium engines, are exact.
 
 Conventions used throughout the package:
 
@@ -23,6 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
@@ -66,20 +69,29 @@ def rational_repr(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _triangle_witness(dist: Sequence[Sequence[Fraction]]) -> tuple[int, int, int] | None:
-    """First ordered triple (x, y, w) of matrix indices with d(x,w) > d(x,y) + d(y,w)."""
-    size = len(dist)
+def scaled_rows(matrix: Sequence[Sequence[Fraction | None]]) -> tuple[int, list[list[int | None]]]:
+    """Common-denominator form ``(scale, rows)`` of a rational matrix.
+
+    `scale` is the lcm of the denominators and ``rows[i][j] == matrix[i][j] * scale``;
+    ``None`` entries stay ``None``.
+    """
+    scale = lcm(*{x.denominator for row in matrix for x in row if x is not None})
+    return scale, [[None if x is None else x.numerator * (scale // x.denominator) for x in row] for row in matrix]
+
+
+def _triangle_witness(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """First ordered triple (x, y, w) of matrix indices with d(x,w) > d(x,y) + d(y,w),
+    checked on the integer rows of `scaled_rows`."""
+    size = len(rows)
     for x in range(size):
-        row = dist[x]
+        row = rows[x]
         for y in range(size):
             if y == x:
                 continue
             via = row[y]
-            drow = dist[y]
+            drow = rows[y]
             for w in range(size):
-                if w == x or w == y:
-                    continue
-                if row[w] > via + drow[w]:
+                if row[w] > via + drow[w] and w != x and w != y:
                     return (x, y, w)
     return None
 
@@ -109,12 +121,13 @@ def instance_violations(
             )
         )
     else:
+        _, rows = scaled_rows(dist)
         for i in range(size):
-            if dist[i][i] != 0:
+            if rows[i][i] != 0:
                 out.append(Violation("nonzero-diagonal", f"dist[{i}][{i}] = {dist[i][i]} != 0"))
         for i in range(size):
             for j in range(i + 1, size):
-                if dist[i][j] != dist[j][i]:
+                if rows[i][j] != rows[j][i]:
                     out.append(
                         Violation(
                             "asymmetry",
@@ -123,7 +136,7 @@ def instance_violations(
                     )
         for i in range(size):
             for j in range(size):
-                if dist[i][j] < 0:
+                if rows[i][j] < 0:
                     out.append(Violation("negative-distance", f"dist[{i}][{j}] = {dist[i][j]} < 0"))
 
     if len(perms) != m:
@@ -137,8 +150,8 @@ def instance_violations(
 
     if declared_metric not in (None, True, False):
         out.append(Violation("bad-metric-flag", f"metric flag must be a boolean, got {declared_metric!r}"))
-    elif declared_metric is True and not out:
-        witness = _triangle_witness(dist)
+    elif declared_metric is True and not out:  # no violation yet, so `rows` is square
+        witness = _triangle_witness(rows)
         if witness is not None:
             x, y, w = witness
             out.append(
@@ -204,7 +217,7 @@ def check_metric(inst: Instance) -> MetricCheck:
     Returns ``(True, None)`` for (pseudo-)metric instances, otherwise
     ``(False, (x, y, w))`` with the first triple where d(x,w) > d(x,y) + d(y,w).
     """
-    raw = _triangle_witness(inst.dist)
+    raw = _triangle_witness(scaled_rows(inst.dist)[1])
     if raw is None:
         return MetricCheck(True, None)
     labels = inst.vertices()
@@ -468,13 +481,10 @@ def validate_instance(raw: object) -> Instance:
         if list(vertices) != expected:
             violations.append(Violation("bad-vertices", f"vertices must be {expected}"))
 
-    metric = raw.get("metric")
     if violations:
         raise MalformedInstanceError(violations)
-    violations = instance_violations(n, m, dist, perms, metric)
-    if violations:
-        raise MalformedInstanceError(violations)
-    return Instance(n, m, tuple(tuple(row) for row in dist), tuple(tuple(p) for p in perms), metric)
+    # The constructor runs `instance_violations` and raises with its findings.
+    return Instance(n, m, tuple(tuple(row) for row in dist), tuple(tuple(p) for p in perms), raw.get("metric"))
 
 
 def dumps_instance(inst: Instance) -> str:

@@ -22,10 +22,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import _kernel_py
-from .core import Instance
+from .core import Instance, scaled_rows
 
 try:
     from . import _kernel_c
@@ -65,16 +64,10 @@ class ScaledView:
 
 @lru_cache(maxsize=256)
 def scaled_view(inst: Instance) -> ScaledView:
-    scale = 1
-    for row in inst.dist:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    flat: list[int] = []
-    for row in inst.dist:
-        for x in row:
-            flat.append(x.numerator * (scale // x.denominator))
+    scale, rows = scaled_rows(inst.dist)
+    flat = tuple(v for row in rows for v in row)
     perms_flat = tuple(p - 1 for perm in inst.perms for p in perm)
-    return ScaledView(inst.n, inst.m, scale, tuple(flat), perms_flat, max(flat))
+    return ScaledView(inst.n, inst.m, scale, flat, perms_flat, max(flat))
 
 
 def resolve_backend(view: ScaledView, backend: str | None = None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .core import Instance, Matrix, to_fraction
+from .core import Instance, Matrix, scaled_rows, to_fraction
 from .errors import (
     DisconnectedGraphError,
     NonPositiveParameterError,
@@ -23,10 +23,12 @@ from .errors import (
 def shortest_path_closure(partial: Sequence[Sequence[object]]) -> Matrix:
     """All-pairs shortest paths over a symmetric, partially specified matrix.
 
-    ``None`` marks an unknown distance; known entries must be nonnegative and
-    symmetric where both directions are given. The result is the minimal
-    metric completion (Floyd-Warshall, exact arithmetic). Raises
-    `DisconnectedGraphError` if some pair stays unreachable.
+    ``None`` marks an unknown distance; known entries must be exact,
+    nonnegative and symmetric where both directions are given, otherwise
+    `ValueError` names the entry. The result is the minimal metric completion:
+    Floyd-Warshall on the common-denominator integers of `scaled_rows`, each
+    entry converted back to a `Fraction` once. Raises `DisconnectedGraphError`
+    if some pair stays unreachable.
     """
     size = len(partial)
     if any(len(row) != size for row in partial):
@@ -37,7 +39,10 @@ def shortest_path_closure(partial: Sequence[Sequence[object]]) -> Matrix:
             entry = partial[i][j]
             if entry is None:
                 continue
-            value = to_fraction(entry)
+            try:
+                value = to_fraction(entry)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator at ({i}, {j}): {entry!r}") from None
             if value < 0:
                 raise ValueError(f"negative distance at ({i}, {j}): {value}")
             work[i][j] = value
@@ -51,13 +56,13 @@ def shortest_path_closure(partial: Sequence[Sequence[object]]) -> Matrix:
                 work[j][i] = a
             elif a != b:
                 raise ValueError(f"asymmetric input at ({i}, {j}): {a} vs {b}")
+    scale, rows = scaled_rows(work)
     for k in range(size):
-        for i in range(size):
-            via = work[i][k]
+        row_k = rows[k]
+        for row_i in rows:
+            via = row_i[k]
             if via is None:
                 continue
-            row_k = work[k]
-            row_i = work[i]
             for j in range(size):
                 leg = row_k[j]
                 if leg is None:
@@ -67,9 +72,9 @@ def shortest_path_closure(partial: Sequence[Sequence[object]]) -> Matrix:
                     row_i[j] = candidate
     for i in range(size):
         for j in range(size):
-            if work[i][j] is None:
+            if rows[i][j] is None:
                 raise DisconnectedGraphError(f"no path between vertices {i} and {j}")
-    return tuple(tuple(row) for row in work)  # type: ignore[arg-type]
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in rows)
 
 
 def _edges_to_matrix(size: int, edges: Mapping[tuple[int, int], object]) -> list[list[object]]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from transportgames import Instance
+from transportgames import DisconnectedGraphError, Instance
+from transportgames.core import to_fraction
 
 # Frozen instance with no Nash equilibrium (found by seeded search, verified
 # by exhaustive deviation checks in test_simultaneous).
@@ -76,6 +77,56 @@ def brute_shortest_paths(size, edges):
         return min(candidates, default=None)
 
     return [[best(u, v, {u}) for v in range(size)] for u in range(size)]
+
+
+def fraction_triangle_witness(dist):
+    """Definitional metric check on `Fraction`s: the first ordered triple
+    (x, y, w) of distinct indices with d(x,w) > d(x,y) + d(y,w), or None."""
+    size = len(dist)
+    for x in range(size):
+        for y in range(size):
+            for w in range(size):
+                if len({x, y, w}) == 3 and dist[x][w] > dist[x][y] + dist[y][w]:
+                    return (x, y, w)
+    return None
+
+
+def fraction_closure(partial):
+    """Definitional shortest-path closure: Floyd-Warshall on `Fraction`s, with
+    the same input checks and messages as `shortest_path_closure`."""
+    size = len(partial)
+    if any(len(row) != size for row in partial):
+        raise ValueError("closure input must be a square matrix")
+    work = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if partial[i][j] is not None:
+                work[i][j] = to_fraction(partial[i][j])
+                if work[i][j] < 0:
+                    raise ValueError(f"negative distance at ({i}, {j}): {work[i][j]}")
+    for i in range(size):
+        work[i][i] = Fraction(0)
+        for j in range(i + 1, size):
+            a, b = work[i][j], work[j][i]
+            if a is None:
+                work[i][j] = b
+            elif b is None:
+                work[j][i] = a
+            elif a != b:
+                raise ValueError(f"asymmetric input at ({i}, {j}): {a} vs {b}")
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                if work[i][k] is None or work[k][j] is None:
+                    continue
+                candidate = work[i][k] + work[k][j]
+                if work[i][j] is None or candidate < work[i][j]:
+                    work[i][j] = candidate
+    for i in range(size):
+        for j in range(size):
+            if work[i][j] is None:
+                raise DisconnectedGraphError(f"no path between vertices {i} and {j}")
+    return tuple(tuple(row) for row in work)
 
 
 def random_instance(rng: random.Random, max_n=4, max_m=3, metric=False, zero_ok=True):

@@ -1,14 +1,17 @@
 """Model-level tests: validation, metric checks, routes, costs, social values,
 and the instance file format."""
 
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import transportgames as tg
-from transportgames.core import rational_repr, to_fraction
+from transportgames import core
+from transportgames.core import rational_repr, scaled_rows, to_fraction
 
-from support import NE_FREE
+from support import NE_FREE, fraction_closure, fraction_triangle_witness
 
 
 def violation_kinds(exc_info):
@@ -91,6 +94,181 @@ class TestValidation:
             tg.Instance(2, 2, ((0, 1, 2), (1, 0, 3), (2, 4, 0)), ((1, 1), (2, 1)))
         kinds = violation_kinds(exc)
         assert {"asymmetry", "not-a-permutation"} <= kinds
+
+
+# Malformed documents and the exact violation lists `loads_instance` reports,
+# in order. The texts print the original rationals, not the scaled integers.
+MALFORMED_DOCUMENTS = [
+    (
+        {"n": 1, "m": 2, "distances": [[0, 0], [0, 0]]},
+        [("missing-field", "required field 'permutations' is absent")],
+    ),
+    (
+        {"n": 1, "m": 2, "distances": [[0, 1.5], [1.5, 0]], "permutations": [[1], [1]]},
+        [
+            ("bad-entry", "distances[0][1] = 1.5 is not exact"),
+            ("bad-entry", "distances[1][0] = 1.5 is not exact"),
+        ],
+    ),
+    (
+        {"n": 1, "m": 2, "vertices": [1, 2], "distances": [[0, 0], [0, 0]], "permutations": [[1], [1]]},
+        [("bad-vertices", "vertices must be [1, 't']")],
+    ),
+    (
+        {"n": 2, "m": 2, "distances": [[0, 1, 2], [2, 0, 1], [2, 1, 0]], "permutations": [[1, 2], [1, 2]]},
+        [("asymmetry", "dist[0][1] = 1 differs from dist[1][0] = 2")],
+    ),
+    (
+        {"n": 1, "m": 2, "distances": [[1, 0], [0, 0]], "permutations": [[1], [1]]},
+        [("nonzero-diagonal", "dist[0][0] = 1 != 0")],
+    ),
+    (
+        {"n": 1, "m": 2, "distances": [[0, -1], [-1, 0]], "permutations": [[1], [1]]},
+        [("negative-distance", "dist[0][1] = -1 < 0"), ("negative-distance", "dist[1][0] = -1 < 0")],
+    ),
+    (
+        {"n": 3, "m": 2, "distances": [[0] * 4] * 4, "permutations": [[1, 1, 2], [1, 2, 3]]},
+        [("not-a-permutation", "permutation of bus 1 is not a bijection on 1..3: (1, 1, 2)")],
+    ),
+    (
+        {"n": 2, "m": 2, "distances": [[0, 0], [0, 0]], "permutations": [[1, 2], [2, 1]]},
+        [("dimension-mismatch", "distance matrix must be 3x3 (players 1..2 plus the destination)")],
+    ),
+    (
+        {"n": 1, "m": 1, "distances": [[0, 0], [0, 0]], "permutations": [[1]]},
+        [("bus-count", "m must be an integer >= 2, got 1")],
+    ),
+    (
+        {"n": "2", "m": 2, "distances": [[0, 0, 0]] * 3, "permutations": [[1, 2], [2, 1]]},
+        [("player-count", "n must be an integer >= 1, got '2'")],
+    ),
+    (
+        {"n": 2, "m": 2, "distances": [[0, 1, 2], [1, 0, 3], [2, 4, 0]], "permutations": [[1, 1], [2, 1]]},
+        [
+            ("asymmetry", "dist[1][2] = 3 differs from dist[2][1] = 4"),
+            ("not-a-permutation", "permutation of bus 1 is not a bijection on 1..2: (1, 1)"),
+        ],
+    ),
+    (
+        {
+            "n": 3,
+            "m": 2,
+            "distances": [[0, 10, 0, 1], [10, 0, 0, 1], [0, 0, 0, 0], [1, 1, 0, 0]],
+            "permutations": [[1, 2, 3], [3, 2, 1]],
+            "metric": True,
+        },
+        [("metric-mismatch", "declared metric but d(0,1) > d(0,2) + d(2,1)")],
+    ),
+    (
+        {
+            "n": 2,
+            "m": 2,
+            "distances": [[0, "1/2", 5], ["1/2", 0, "3/4"], [5, "3/4", 0]],
+            "permutations": [[1, 2], [2, 1]],
+            "metric": True,
+        },
+        [("metric-mismatch", "declared metric but d(0,2) > d(0,1) + d(1,2)")],
+    ),
+    (
+        {"n": 1, "m": 2, "distances": [[0, 1], [1, 0]], "permutations": [[1], [1]], "metric": "yes"},
+        [("bad-metric-flag", "metric flag must be a boolean, got 'yes'")],
+    ),
+    (
+        {
+            "n": 2,
+            "m": 2,
+            "distances": [[0, "1/3", -2], ["1/2", 1, 0], [-2, 0, 0]],
+            "permutations": [[1, 2]],
+            "metric": True,
+        },
+        [
+            ("nonzero-diagonal", "dist[1][1] = 1 != 0"),
+            ("asymmetry", "dist[0][1] = 1/3 differs from dist[1][0] = 1/2"),
+            ("negative-distance", "dist[0][2] = -2 < 0"),
+            ("negative-distance", "dist[2][0] = -2 < 0"),
+            ("permutation-count", "expected 2 pickup permutations, got 1"),
+        ],
+    ),
+]
+
+
+class TestViolationReports:
+    @pytest.mark.parametrize("doc, expected", MALFORMED_DOCUMENTS)
+    def test_text_and_order(self, doc, expected):
+        with pytest.raises(tg.MalformedInstanceError) as exc:
+            tg.loads_instance(json.dumps(doc))
+        assert [(v.kind, v.message) for v in exc.value.violations] == expected
+
+    @pytest.mark.parametrize("declared", [True, False, None])
+    def test_load_runs_one_metric_check(self, monkeypatch, declared):
+        text = tg.dumps_instance(tg.Instance(5, 2, tg.gen_five_chain().dist, ((1, 2, 3, 4, 5),) * 2, declared))
+        calls = []
+        witness = core._triangle_witness
+
+        def counting(rows):
+            calls.append(rows)
+            return witness(rows)
+
+        monkeypatch.setattr(core, "_triangle_witness", counting)
+        tg.loads_instance(text)
+        assert len(calls) == (1 if declared else 0)
+
+
+def tie_heavy_matrix(rng: random.Random, size: int):
+    """Symmetric matrix from a few values with mixed denominators; zeros and
+    exact ties d(x,w) == d(x,y) + d(y,w) are common, and so are violations."""
+    values = (F(0), F(0), F(1, 2), F(1, 3), F(5, 6), F(1), F(3, 2), F(7, 4), F(2))
+    dist = [[F(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            dist[i][j] = dist[j][i] = rng.choice(values)
+    return dist
+
+
+def line_matrix(rng: random.Random, size: int):
+    """Points on a line at rational positions: a metric in which every triple
+    with the middle point between the others is an exact tie."""
+    pos = sorted(F(k, 12) for k in rng.sample(range(40), size))
+    rng.shuffle(pos)
+    return [[abs(a - b) for b in pos] for a in pos]
+
+
+class TestIntegerMetricCheck:
+    """The integer triangle check against the `Fraction` reference in support."""
+
+    @staticmethod
+    def assert_matches_reference(dist):
+        expected = fraction_triangle_witness(dist)
+        assert core._triangle_witness(scaled_rows(dist)[1]) == expected
+        inst = tg.Instance(len(dist) - 1, 2, tuple(map(tuple, dist)), (tuple(range(1, len(dist))),) * 2)
+        labels = inst.vertices()
+        check = tg.check_metric(inst)
+        assert check.is_metric == (expected is None)
+        assert check.witness == (None if expected is None else tuple(labels[i] for i in expected))
+        return expected
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_matrices(self, seed):
+        rng = random.Random(seed)
+        self.assert_matches_reference(tie_heavy_matrix(rng, rng.randint(2, 7)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_closed_matrices_are_metric(self, seed):
+        rng = random.Random(seed)
+        closed = [list(row) for row in fraction_closure(tie_heavy_matrix(rng, rng.randint(2, 7)))]
+        assert self.assert_matches_reference(closed) is None
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exact_ties_are_not_flagged(self, seed):
+        rng = random.Random(seed)
+        dist = line_matrix(rng, rng.randint(3, 7))
+        assert self.assert_matches_reference(dist) is None
+        # raising the distance between the two end points by the smallest
+        # amount breaks the ties through every point between them
+        far = max(map(max, dist))
+        x, w = next((i, j) for i, row in enumerate(dist) for j, d in enumerate(row) if d == far)
+        dist[x][w] = dist[w][x] = far + F(1, 997)
+        assert self.assert_matches_reference(dist) is not None
 
 
 class TestMetric:

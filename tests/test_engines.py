@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,41 @@ from support import random_instance
 compiled = pytest.mark.skipif(not tg.compiled_available(), reason="compiled kernels not built")
 
 
+# Parameters for every registered family; the test below fails if a new
+# family is registered without an entry here.
+FAMILY_PARAMS = {
+    "five-chain": [{}],
+    "four-line": [{}],
+    "nonmetric-spike": [{"x": "7/3"}, {"x": 10}],
+    "uniform-star": [{"n": 4, "m": 2, "epsilon": "1/8", "perm_scheme": "reverse"}, {"n": 3, "m": 3, "epsilon": 2}],
+    "group-levels": [{"k": 2, "m": 2, "a": "7/2", "pad": 1}, {"k": 1, "m": 3, "a": 10}],
+    "zero-cluster-far": [{"n": 5, "m": 2, "epsilon": "1/10"}, {"n": 4, "m": 3, "epsilon": 0}],
+    "zero-cluster-single": [{"n": 4}],
+    "random-metric": [{"n": 5, "m": 3, "seed": seed} for seed in range(6)]
+    + [{"n": 7, "m": 2, "seed": 9, "low": 0, "high": 30, "max_denominator": 30}],
+}
+
+
+def recomputed_view(inst):
+    """Independent scaled view: lcm by gcd, entries by exact multiplication."""
+    scale = 1
+    for row in inst.dist:
+        for x in row:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+    dist = tuple(int(x * scale) for row in inst.dist for x in row)
+    perms = tuple(p - 1 for perm in inst.perms for p in perm)
+    return scale, dist, perms, max(dist)
+
+
 class TestScaledView:
+    def test_matches_recomputation_for_every_family(self):
+        assert set(FAMILY_PARAMS) == set(tg.FAMILIES)
+        for tag, param_sets in FAMILY_PARAMS.items():
+            for params in param_sets:
+                inst = tg.build_family(tag, params)
+                view = scaled_view(inst)
+                assert (view.scale, view.dist, view.perms, view.max_entry) == recomputed_view(inst), (tag, params)
+
     def test_common_denominator(self):
         inst = tg.gen_zero_cluster_far(4, 2, F(1, 10))
         view = scaled_view(inst)

@@ -1,5 +1,6 @@
 """Instance generators: golden distances, closure behavior, parameter domains."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import transportgames as tg
 from transportgames import shortest_path_closure
 
-from support import brute_shortest_paths
+from support import brute_shortest_paths, fraction_closure
 
 
 class TestClosure:
@@ -48,6 +49,79 @@ class TestClosure:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):
             shortest_path_closure([[0, 1], [2, 0]])
+
+    def test_zero_denominator_names_the_entry(self):
+        with pytest.raises(ValueError, match=r"zero denominator at \(0, 1\): '1/0'"):
+            shortest_path_closure([[0, "1/0"], ["1/0", 0]])
+
+
+def closure_result(closure, partial):
+    """The closed matrix, or the type and message of the error raised."""
+    try:
+        return closure(partial)
+    except (ValueError, tg.DisconnectedGraphError) as exc:
+        return type(exc), str(exc)
+
+
+def partial_matrix(rng: random.Random, size: int, unknown: float):
+    """Random partial matrix with mixed denominators, zeros and `None` entries;
+    some pairs are given in one direction only."""
+    values = (0, 0, 1, 2, 7, "1/2", "2/3", "5/4", "7/6", F(3, 8))
+    matrix = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < unknown:
+                continue
+            value = rng.choice(values)
+            side = rng.random()
+            if side < 0.6:
+                matrix[i][j] = matrix[j][i] = value
+            elif side < 0.8:
+                matrix[i][j] = value
+            else:
+                matrix[j][i] = value
+    return matrix
+
+
+class TestClosureAgainstReference:
+    """The integer closure against the `Fraction` Floyd-Warshall in support."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_partial_inputs(self, seed):
+        rng = random.Random(seed)
+        matrix = partial_matrix(rng, rng.randint(1, 8), unknown=0.4)
+        assert closure_result(shortest_path_closure, matrix) == closure_result(fraction_closure, matrix)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_disconnected_inputs(self, seed):
+        rng = random.Random(seed)
+        matrix = partial_matrix(rng, rng.randint(3, 8), unknown=0.85)
+        expected = closure_result(fraction_closure, matrix)
+        assert closure_result(shortest_path_closure, matrix) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_asymmetric_and_negative_inputs(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(2, 7)
+        matrix = partial_matrix(rng, size, unknown=0.2)
+        i, j = rng.sample(range(size), 2)
+        if seed % 2:
+            matrix[i][j], matrix[j][i] = "1/5", "2/5"
+        else:
+            matrix[i][j] = rng.choice((-1, "-1/3"))
+        expected = closure_result(fraction_closure, matrix)
+        assert isinstance(expected, tuple) and expected[0] is ValueError
+        assert closure_result(shortest_path_closure, matrix) == expected
+
+    def test_known_error_messages(self):
+        cases = [
+            ([[0, 1, None], [1, 0, None], [None, None, 0]], (tg.DisconnectedGraphError, "no path between vertices 0 and 2")),
+            ([[0, 1], [2, 0]], (ValueError, "asymmetric input at (0, 1): 1 vs 2")),
+            ([[0, "-1/2"], [None, 0]], (ValueError, "negative distance at (0, 1): -1/2")),
+        ]
+        for matrix, expected in cases:
+            assert closure_result(shortest_path_closure, matrix) == expected
+            assert closure_result(fraction_closure, matrix) == expected
 
 
 class TestGeneratorsValidateAndMetric:
