@@ -35,7 +35,6 @@ from .core import (
     validate_instance,
     worst_player_cost,
 )
-from .engine import compiled_available
 from .errors import (
     BudgetExceededError,
     BusOutOfRangeError,

@@ -1,9 +1,8 @@
-"""Pure-Python enumeration kernels over scale-normalized integer distances.
+"""The enumeration kernels, over scale-normalized integer distances.
 
-Mirrors the contract of the optional compiled module ``_kernel_c``. All
-arithmetic is on Python ints, so there is no overflow concern; this module is
-the always-correct fallback and the reference the compiled kernels are tested
-against.
+Every Nash scan, optimum, SPE set and Zermelo outcome in the package comes
+from this module. All arithmetic is on Python ints, so values of any size
+stay exact.
 
 Shared argument layout (everything 0-based):
     n, m        player and bus counts
@@ -31,8 +30,8 @@ empty set the values read 0 and the codes -1.
     scan_nash(n, m, dist, perms, fcodes, lead, collect) -> (codes or None, count, optimum, kept)
     scan_social(n, m, dist, perms, fcodes, lead)         -> kept
     code_stats(n, m, dist, perms, fcodes, codes)         -> kept, over the given codes
-
-`code_stats` exists only here; it summarizes the SPE sets of both backends.
+    spe_codes(n, m, dist, perms, order, node_cap)        -> sorted codes of the SPE outcomes
+    zermelo_code(n, m, dist, perms, order)               -> code of one SPE outcome
 """
 
 from __future__ import annotations

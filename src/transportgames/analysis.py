@@ -90,7 +90,6 @@ def analyze(
     budget: int = DEFAULT_OUTCOME_BUDGET,
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
     symmetry_reduction: bool = False,
-    backend: str | None = None,
 ) -> AnalysisReport:
     """Full equilibrium analysis of one instance.
 
@@ -108,10 +107,10 @@ def analyze(
     started = time.perf_counter()
 
     if mode == "simultaneous":
-        summary = nash_summary(inst, budget=budget, backend=backend, symmetry_reduction=symmetry_reduction)
+        summary = nash_summary(inst, budget=budget, symmetry_reduction=symmetry_reduction)
         resolved_order = None
     else:
-        summary = spe_summary(inst, order=order, budget=budget, node_set_cap=node_set_cap, backend=backend)
+        summary = spe_summary(inst, order=order, budget=budget, node_set_cap=node_set_cap)
         resolved_order = tuple(order) if order is not None else tuple(range(1, inst.n + 1))
 
     blocks = tuple(_function_report(summary, tag) for tag in functions)
@@ -272,7 +271,8 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
     """Evaluate a closed-form bound like ``"2*n/m - 1"`` exactly.
 
     Supports rational literals, parameter names, + - * / ** (integer
-    exponents), unary minus, and floor/ceil/min/max.
+    exponents), unary minus, and floor/ceil/min/max. Every rejected
+    expression, a division by zero included, raises `ValueError`.
     """
     tree = ast.parse(expr, mode="eval")
 
@@ -312,7 +312,10 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
             return fn(*(ev(arg) for arg in node.args))
         raise ValueError(f"unsupported syntax in bound expression: {ast.dump(node)}")
 
-    return ev(tree)
+    try:
+        return ev(tree)
+    except ZeroDivisionError:
+        raise ValueError(f"bound expression {expr!r} divides by zero") from None
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +419,14 @@ _SWEEP_RATIOS = {
 _ROW_ERRORS = (BudgetExceededError, NoEquilibriumError, DegenerateOptimumError, SetOverflowError, ValueError)
 
 
-def _point_summary(inst: Instance, mode: str, nash, budget: int, node_set_cap: int, backend):
+def _point_summary(inst: Instance, mode: str, nash, budget: int, node_set_cap: int):
     """One mode's summary of a sweep point, or the error building it raised.
     The sequential summary takes the optimum from a built Nash summary."""
     try:
         if mode == "simultaneous":
-            return nash_summary(inst, budget=budget, backend=backend)
+            return nash_summary(inst, budget=budget)
         optimum = nash.optimum if isinstance(nash, EquilibriumSummary) else None
-        return spe_summary(inst, budget=budget, node_set_cap=node_set_cap, backend=backend, optimum=optimum)
+        return spe_summary(inst, budget=budget, node_set_cap=node_set_cap, optimum=optimum)
     except _ROW_ERRORS as exc:
         return exc
 
@@ -432,7 +435,6 @@ def run_verify_bounds(
     spec: SweepSpec,
     budget: int = DEFAULT_OUTCOME_BUDGET,
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
-    backend: str | None = None,
 ) -> SweepResult:
     """Evaluate every bound rule at every sweep point, exactly (no tolerance).
 
@@ -464,7 +466,7 @@ def run_verify_bounds(
             try:
                 mode, worst, name = _SWEEP_RATIOS[rule.measure]
                 if mode not in built:
-                    built[mode] = _point_summary(inst, mode, built.get("simultaneous"), budget, node_set_cap, backend)
+                    built[mode] = _point_summary(inst, mode, built.get("simultaneous"), budget, node_set_cap)
                 if isinstance(built[mode], Exception):
                     raise built[mode]
                 measured = built[mode].ratio(rule.function, worst, name).ratio

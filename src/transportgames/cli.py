@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from .analysis import analyze, load_sweep, render_sweep, run_verify_bounds, serialize_report
-from .core import dumps_instance, loads_instance, save_instance
+from .core import dumps_instance, loads_instance, save_instance, to_fraction
 from .errors import (
     BudgetExceededError,
     MalformedInstanceError,
@@ -35,8 +35,8 @@ class RationalType(click.ParamType):
         if isinstance(value, Fraction):
             return value
         try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
+            return to_fraction(str(value))
+        except ValueError:
             self.fail(f"{value!r} is not an exact rational (use p/q or an integer)", param, ctx)
 
 

@@ -46,10 +46,12 @@ CostVector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def to_fraction(value: object) -> Fraction:
+def to_fraction(value: object, where: str = "") -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a ``"p/q"`` string.
 
-    Floats are rejected: they would silently corrupt tie detection.
+    Floats are rejected: they would silently corrupt tie detection. Every
+    failure is a `ValueError`; a zero denominator's message puts `where`
+    (say ``" at (0, 1)"``) before the value.
     """
     if isinstance(value, Fraction):
         return value
@@ -58,7 +60,10 @@ def to_fraction(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator{where}: {value!r}") from None
     raise ValueError(f"not an exact rational: {value!r}")
 
 
@@ -456,7 +461,7 @@ def validate_instance(raw: object) -> Instance:
             for j, entry in enumerate(row):
                 try:
                     parsed_row.append(to_fraction(entry))
-                except (ValueError, ZeroDivisionError):
+                except ValueError:
                     violations.append(Violation("bad-entry", f"distances[{i}][{j}] = {entry!r} is not exact"))
                     parsed_row.append(Fraction(0))
             dist.append(parsed_row)

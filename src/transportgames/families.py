@@ -39,10 +39,7 @@ def shortest_path_closure(partial: Sequence[Sequence[object]]) -> Matrix:
             entry = partial[i][j]
             if entry is None:
                 continue
-            try:
-                value = to_fraction(entry)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator at ({i}, {j}): {entry!r}") from None
+            value = to_fraction(entry, f" at ({i}, {j})")
             if value < 0:
                 raise ValueError(f"negative distance at ({i}, {j}): {value}")
             work[i][j] = value
@@ -399,7 +396,7 @@ def _coerce_param(spec: FamilyParam, value: object) -> object:
     if spec.kind == "rational":
         try:
             return to_fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParameterDomainError(f"parameter {spec.name!r} must be an exact rational, got {value!r}") from exc
     if spec.kind == "choice":
         if value not in (spec.choices or ()):

@@ -15,8 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from . import engine
-from ._kernel_py import code_stats
+from . import _kernel_py, engine
 from .core import (
     CostVector,
     Instance,
@@ -53,11 +52,11 @@ def _resolve_order(inst: Instance, order: Sequence[int] | None) -> MoveOrder:
     return resolved
 
 
-def _spe_codes(inst: Instance, order, budget: int, node_set_cap: int, backend: str | None):
+def _spe_codes(inst: Instance, order, budget: int, node_set_cap: int):
     order_t = _resolve_order(inst, order)
-    view, kern = _kernel(inst, budget, backend)
-    codes = kern.spe_codes(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t), node_set_cap)
-    return view, kern, codes
+    view = _kernel(inst, budget)
+    codes = _kernel_py.spe_codes(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t), node_set_cap)
+    return view, codes
 
 
 def spe_outcomes(
@@ -65,7 +64,6 @@ def spe_outcomes(
     order: Sequence[int] | None = None,
     budget: int = DEFAULT_OUTCOME_BUDGET,
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
-    backend: str | None = None,
 ) -> OutcomeSet:
     """Exactly the outcomes realized by some subgame-perfect strategy profile.
 
@@ -73,7 +71,7 @@ def spe_outcomes(
     profile. Raises `SetOverflowError` when a per-node result set exceeds
     `node_set_cap`.
     """
-    codes = _spe_codes(inst, order, budget, node_set_cap, backend)[2]
+    codes = _spe_codes(inst, order, budget, node_set_cap)[1]
     return evaluate_outcomes(inst, [_decode(c, inst.n, inst.m) for c in codes])
 
 
@@ -81,7 +79,6 @@ def zermelo_outcome(
     inst: Instance,
     order: Sequence[int] | None = None,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    backend: str | None = None,
 ) -> tuple[Outcome, CostVector]:
     """One deterministic subgame-perfect outcome via backward induction.
 
@@ -89,8 +86,8 @@ def zermelo_outcome(
     reproducible; it always belongs to `spe_outcomes`.
     """
     order_t = _resolve_order(inst, order)
-    view, kern = _kernel(inst, budget, backend)
-    code = kern.zermelo_code(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t))
+    view = _kernel(inst, budget)
+    code = _kernel_py.zermelo_code(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t))
     sigma = _decode(code, inst.n, inst.m)
     return sigma, cost_vector(inst, sigma)
 
@@ -197,18 +194,17 @@ def spe_summary(
     order: Sequence[int] | None = None,
     budget: int = DEFAULT_OUTCOME_BUDGET,
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
-    backend: str | None = None,
     optimum: tuple[tuple[int, int], ...] | None = None,
 ) -> EquilibriumSummary:
     """The SPE-realizable outcomes and the optimum of every social function:
     SPE induction, integer statistics of its set, and one kernel pass for the
     optimum unless another summary of `inst` already holds it.
     """
-    view, kern, codes = _spe_codes(inst, order, budget, node_set_cap, backend)
+    view, codes = _spe_codes(inst, order, budget, node_set_cap)
     n, m, dist, perms = view.n, view.m, view.dist, view.perms
     if optimum is None:
-        optimum = tuple(stats[:2] for stats in kern.scan_social(n, m, dist, perms, FCODES, m))
-    return EquilibriumSummary(view, len(codes), optimum, code_stats(n, m, dist, perms, FCODES, codes))
+        optimum = tuple(stats[:2] for stats in _kernel_py.scan_social(n, m, dist, perms, FCODES, m))
+    return EquilibriumSummary(view, len(codes), optimum, _kernel_py.code_stats(n, m, dist, perms, FCODES, codes))
 
 
 def spoa(
@@ -217,11 +213,10 @@ def spoa(
     order: Sequence[int] | None = None,
     budget: int = DEFAULT_OUTCOME_BUDGET,
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
-    backend: str | None = None,
 ) -> RatioReport:
     """Sequential price of anarchy: worst SPE-outcome value over the optimum."""
     _require_tag(function)
-    return spe_summary(inst, order, budget, node_set_cap, backend).ratio(function, True, "SPoA")
+    return spe_summary(inst, order, budget, node_set_cap).ratio(function, True, "SPoA")
 
 
 def spos(
@@ -230,8 +225,7 @@ def spos(
     order: Sequence[int] | None = None,
     budget: int = DEFAULT_OUTCOME_BUDGET,
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
-    backend: str | None = None,
 ) -> RatioReport:
     """Sequential price of stability: best SPE-outcome value over the optimum."""
     _require_tag(function)
-    return spe_summary(inst, order, budget, node_set_cap, backend).ratio(function, False, "SPoS")
+    return spe_summary(inst, order, budget, node_set_cap).ratio(function, False, "SPoS")

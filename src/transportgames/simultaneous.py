@@ -14,7 +14,7 @@ from itertools import permutations as _bus_relabelings
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
-from . import engine
+from . import _kernel_py, engine
 from .core import (
     Instance,
     Outcome,
@@ -42,11 +42,10 @@ def _require_budget(inst: Instance, budget: int) -> None:
         raise BudgetExceededError(f"{inst.m}^{inst.n} = {size} outcomes exceed the budget of {budget}")
 
 
-def _kernel(inst: Instance, budget: int, backend: str | None):
-    """The scaled view of `inst` and the kernel module for it, within the budget."""
+def _kernel(inst: Instance, budget: int) -> engine.ScaledView:
+    """The scaled view the kernels read for `inst`, within the budget."""
     _require_budget(inst, budget)
-    view = engine.scaled_view(inst)
-    return view, engine.resolve_backend(view, backend)
+    return engine.scaled_view(inst)
 
 
 def _require_tag(function: str) -> SocialTag:
@@ -122,13 +121,12 @@ def _expand_bus_orbit(m: int, outcomes: Sequence[Outcome]) -> list[Outcome]:
 def enumerate_nash(
     inst: Instance,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    backend: str | None = None,
     symmetry_reduction: bool = False,
 ) -> OutcomeSet:
     """Exactly the outcomes where no player has a strictly improving switch."""
-    view, kern = _kernel(inst, budget, backend)
+    view = _kernel(inst, budget)
     lead = _reduced_lead(inst, symmetry_reduction)
-    codes = kern.scan_nash(view.n, view.m, view.dist, view.perms, (), lead, True)[0]
+    codes = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, (), lead, True)[0]
     outcomes = [_decode(c, inst.n, inst.m) for c in codes]
     if lead == 1:
         outcomes = _expand_bus_orbit(inst.m, outcomes)
@@ -139,7 +137,6 @@ def optimal_social(
     inst: Instance,
     function: SocialTag,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    backend: str | None = None,
     symmetry_reduction: bool = False,
 ) -> tuple[Fraction, Outcome]:
     """Minimum of a social function over all outcomes, with one minimizer.
@@ -148,9 +145,10 @@ def optimal_social(
     symmetry reduction (see `nash_summary`).
     """
     _require_tag(function)
-    view, kern = _kernel(inst, budget, backend)
+    view = _kernel(inst, budget)
     lead = _reduced_lead(inst, symmetry_reduction)
-    minv, amin, _maxv, _amax = kern.scan_social(view.n, view.m, view.dist, view.perms, (_FCODE[function],), lead)[0]
+    stats = _kernel_py.scan_social(view.n, view.m, view.dist, view.perms, (_FCODE[function],), lead)
+    minv, amin, _maxv, _amax = stats[0]
     return view.to_fraction(minv), _decode(amin, inst.n, inst.m)
 
 
@@ -198,7 +196,6 @@ class EquilibriumSummary:
 def nash_summary(
     inst: Instance,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    backend: str | None = None,
     symmetry_reduction: bool = False,
 ) -> EquilibriumSummary:
     """The Nash equilibria and the optimum of every social function, from one
@@ -210,9 +207,9 @@ def nash_summary(
     scanned one), and the first outcome of each relabeling orbit, where ties
     resolve, has player 1 on bus 1.
     """
-    view, kern = _kernel(inst, budget, backend)
+    view = _kernel(inst, budget)
     lead = _reduced_lead(inst, symmetry_reduction)
-    _codes, count, optimum, kept = kern.scan_nash(view.n, view.m, view.dist, view.perms, FCODES, lead, False)
+    _codes, count, optimum, kept = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, FCODES, lead, False)
     return EquilibriumSummary(view, count * (inst.m // lead), optimum, kept)
 
 
@@ -220,21 +217,19 @@ def poa(
     inst: Instance,
     function: SocialTag,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    backend: str | None = None,
     symmetry_reduction: bool = False,
 ) -> RatioReport:
     """Price of anarchy: worst Nash equilibrium value over the optimum."""
     _require_tag(function)
-    return nash_summary(inst, budget, backend, symmetry_reduction).ratio(function, True, "PoA")
+    return nash_summary(inst, budget, symmetry_reduction).ratio(function, True, "PoA")
 
 
 def pos(
     inst: Instance,
     function: SocialTag,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    backend: str | None = None,
     symmetry_reduction: bool = False,
 ) -> RatioReport:
     """Price of stability: best Nash equilibrium value over the optimum."""
     _require_tag(function)
-    return nash_summary(inst, budget, backend, symmetry_reduction).ratio(function, False, "PoS")
+    return nash_summary(inst, budget, symmetry_reduction).ratio(function, False, "PoS")

@@ -199,3 +199,24 @@ def tie_instance(rng: random.Random, max_n=4, max_m=3) -> Instance:
             rng.shuffle(order)
         perms.append(tuple(order))
     return Instance(n, m, tuple(tuple(row) for row in dist), tuple(perms))
+
+
+def zermelo_reference(inst: Instance, order):
+    """Definitional backward induction: in move order, each mover takes the
+    bus whose subgame outcome costs the mover least, the lowest bus on ties."""
+
+    def solve(sigma, stage):
+        if stage == inst.n:
+            return tuple(sigma)
+        mover = order[stage]
+        best = best_cost = None
+        for bus in range(1, inst.m + 1):
+            sigma[mover - 1] = bus
+            outcome = solve(sigma, stage + 1)
+            cost = suffix_cost(inst, route_of(inst, outcome, bus), mover)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = outcome, cost
+        sigma[mover - 1] = 0
+        return best
+
+    return solve([0] * inst.n, 0)

@@ -1,6 +1,7 @@
 """Reports, serialization, the bound-expression evaluator, and sweeps."""
 
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -114,6 +115,11 @@ class TestBoundExpressions:
         with pytest.raises(ValueError):
             eval_bound_expr("n ** (1/2)", {"n": F(4)})
 
+    def test_division_by_zero_rejected(self):
+        for bad in ("1/(m-m)", "n/0", "(n-n)**(-1)"):
+            with pytest.raises(ValueError, match=rf"bound expression '{re.escape(bad)}' divides by zero"):
+                eval_bound_expr(bad, {"n": F(4), "m": F(2)})
+
 
 class TestSweeps:
     def test_shipped_sweeps_pass(self):
@@ -154,6 +160,23 @@ class TestSweeps:
         )
         result = run_verify_bounds(spec)
         assert result.rows[0].error is not None
+        assert not result.all_passed
+
+    def test_division_by_zero_recorded(self):
+        spec = sweep_from_dict(
+            {
+                "family": "four-line",
+                "points": [{}],
+                "bounds": [
+                    {"function": "U", "measure": "poa", "relation": "le", "expected": "1/(m-m)"},
+                    {"function": "U", "measure": "poa", "relation": "ge", "expected": "1"},
+                ],
+            }
+        )
+        result = run_verify_bounds(spec)
+        assert result.rows[0].error == "ValueError: bound expression '1/(m-m)' divides by zero"
+        assert result.rows[0].passed is None
+        assert result.rows[1].passed is True
         assert not result.all_passed
 
     def test_bad_specs_rejected(self):

@@ -177,6 +177,20 @@ class TestVerifyBounds:
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
+    def test_division_by_zero_reported(self, tmp_path):
+        spec = {
+            "family": "four-line",
+            "points": [{}],
+            "bounds": [{"function": "U", "measure": "poa", "relation": "le", "expected": "1/(m-m)"}],
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["verify-bounds", "--spec", str(path), "--format", "json"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        row = json.loads(result.output)["rows"][0]
+        assert row["error"] == "ValueError: bound expression '1/(m-m)' divides by zero"
+
     def test_missing_spec_file(self):
         result = runner.invoke(main, ["verify-bounds", "--spec", "/no/such/sweep.json"])
         assert result.exit_code == 3

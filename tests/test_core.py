@@ -29,6 +29,12 @@ class TestRationals:
         with pytest.raises(ValueError):
             to_fraction(bad)
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^zero denominator: '1/0'$"):
+            to_fraction("1/0")
+        with pytest.raises(ValueError, match=r"zero denominator"):
+            tg.Instance(1, 2, ((0, "1/0"), ("1/0", 0)), ((1,), (1,)))
+
     def test_repr_roundtrip(self):
         assert rational_repr(F(6, 2)) == 3
         assert rational_repr(F(5, 3)) == "5/3"
@@ -88,6 +94,15 @@ class TestValidation:
                 {"n": 1, "m": 2, "distances": [[0, 1.5], [1.5, 0]], "permutations": [[1], [1]]}
             )
         assert "bad-entry" in violation_kinds(exc)
+
+    def test_zero_denominator_entry_rejected(self):
+        with pytest.raises(tg.MalformedInstanceError) as exc:
+            tg.validate_instance(
+                {"n": 1, "m": 2, "distances": [[0, "1/0"], [1, 0]], "permutations": [[1], [1]]}
+            )
+        assert [str(v) for v in exc.value.violations if v.kind == "bad-entry"] == [
+            "bad-entry: distances[0][1] = '1/0' is not exact"
+        ]
 
     def test_all_violations_reported_at_once(self):
         with pytest.raises(tg.MalformedInstanceError) as exc:

@@ -1,4 +1,4 @@
-"""Backend plumbing: scaled views, selection rules, and pure/compiled parity."""
+"""Scaled integer views, and the kernels against definitional references."""
 
 import random
 from fractions import Fraction as F
@@ -7,13 +7,10 @@ from math import gcd
 import pytest
 
 import transportgames as tg
-from transportgames import _kernel_py, engine
-from transportgames.analysis import serialize_report
-from transportgames.engine import resolve_backend, scaled_view
+from transportgames import _kernel_py
+from transportgames.engine import scaled_view
 
-from support import random_instance
-
-compiled = pytest.mark.skipif(not tg.compiled_available(), reason="compiled kernels not built")
+from support import NE_FREE, random_instance, tie_instance, zermelo_reference
 
 
 # Parameters for every registered family; the test below fails if a new
@@ -39,7 +36,7 @@ def recomputed_view(inst):
             scale = scale * x.denominator // gcd(scale, x.denominator)
     dist = tuple(int(x * scale) for row in inst.dist for x in row)
     perms = tuple(p - 1 for perm in inst.perms for p in perm)
-    return scale, dist, perms, max(dist)
+    return scale, dist, perms
 
 
 class TestScaledView:
@@ -49,7 +46,7 @@ class TestScaledView:
             for params in param_sets:
                 inst = tg.build_family(tag, params)
                 view = scaled_view(inst)
-                assert (view.scale, view.dist, view.perms, view.max_entry) == recomputed_view(inst), (tag, params)
+                assert (view.scale, view.dist, view.perms) == recomputed_view(inst), (tag, params)
 
     def test_common_denominator(self):
         inst = tg.gen_zero_cluster_far(4, 2, F(1, 10))
@@ -57,69 +54,81 @@ class TestScaledView:
         assert view.scale == 10
         assert view.to_fraction(21) == F(21, 10)
         assert len(view.dist) == 25
-        assert max(view.dist) == view.max_entry
 
-    def test_big_values_fall_back_to_pure(self):
+    def test_big_values_stay_exact(self):
         huge = 2**70
         inst = tg.Instance(1, 2, ((0, huge), (huge, 0)), ((1,), (1,)))
-        view = scaled_view(inst)
-        assert not view.fits_int64()
-        assert engine.backend_name(resolve_backend(view)) == "pure"
-        # results stay exact far beyond int64
+        assert max(scaled_view(inst).dist) == huge
         assert tg.optimal_social(inst, "U")[0] == huge
 
-    def test_forced_backend_names(self):
-        view = scaled_view(tg.gen_four_line())
-        assert engine.backend_name(resolve_backend(view, "pure")) == "pure"
-        with pytest.raises(ValueError):
-            resolve_backend(view, "fastest")
 
-    def test_env_forces_pure(self, monkeypatch):
-        monkeypatch.setenv(engine.ENV_FORCE_PURE, "1")
-        view = scaled_view(tg.gen_four_line())
-        assert engine.backend_name(resolve_backend(view)) == "pure"
+ALL = (0, 1, 2)  # D, E, U
 
 
-@compiled
-class TestBackendParity:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_all_kernels_agree(self, seed):
-        rng = random.Random(seed)
-        inst = random_instance(rng, metric=bool(seed % 2))
+def kernel_games():
+    """Random and tie-heavy games of at most 4 players and 3 buses, and one
+    without a Nash equilibrium."""
+    rng = random.Random(7)
+    games = [random_instance(rng, metric=bool(i % 2)) for i in range(10)]
+    return games + [tie_instance(rng) for _ in range(14)] + [NE_FREE]
+
+
+def definitional_values(inst):
+    """(code, outcome, (D, E, U)) for every outcome; codes are lexicographic ranks."""
+    return [
+        (code, sigma, tuple(tg.social_cost(inst, sigma, tag) for tag in tg.SOCIAL_TAGS))
+        for code, sigma in enumerate(tg.enumerate_outcomes(inst))
+    ]
+
+
+def definitional_stats(rows, fcodes):
+    """Per code in `fcodes`: (min, argmin, max, argmax) over `rows`, ties to
+    the earliest code; (0, -1, 0, -1) over no rows."""
+    stats = []
+    for f in fcodes:
+        if not rows:
+            stats.append((0, -1, 0, -1))
+            continue
+        low = min(rows, key=lambda row: row[2][f])
+        high = max(rows, key=lambda row: (row[2][f], -row[0]))
+        stats.append((low[2][f], low[0], high[2][f], high[0]))
+    return tuple(stats)
+
+
+def as_fractions(stats, scale):
+    """Kernel statistics with their scaled integer values read as `Fraction`s."""
+    return tuple(tuple(F(v, scale) if i % 2 == 0 else v for i, v in enumerate(entry)) for entry in stats)
+
+
+@pytest.mark.parametrize("inst", kernel_games())
+class TestKernelAgainstDefinitions:
+    def test_scan_nash(self, inst):
         view = scaled_view(inst)
-        fast = resolve_backend(view, "compiled")
-        order = tuple(range(view.n))
-        for fcodes in ((0, 1, 2), (2,), ()):
-            args = (view.n, view.m, view.dist, view.perms, fcodes, view.m)
-            assert _kernel_py.scan_social(*args) == fast.scan_social(*args)
+        args = (view.n, view.m, view.dist, view.perms)
+        rows = definitional_values(inst)
+        nash = [row for row in rows if tg.find_improving_deviation(inst, row[1]) is None]
+        codes, count, optimum, kept = _kernel_py.scan_nash(*args, ALL, view.m, True)
+        assert codes == [row[0] for row in nash]
+        assert count == len(nash)
+        assert as_fractions(kept, view.scale) == definitional_stats(nash, ALL)
+        assert as_fractions(optimum, view.scale) == tuple(stats[:2] for stats in definitional_stats(rows, ALL))
+        for fcodes in (ALL, (2,), ()):
             for collect in (True, False):
-                assert _kernel_py.scan_nash(*args, collect) == fast.scan_nash(*args, collect)
-        assert _kernel_py.spe_codes(view.n, view.m, view.dist, view.perms, order, 10**6) == list(
-            fast.spe_codes(view.n, view.m, view.dist, view.perms, order, 10**6)
-        )
-        assert _kernel_py.zermelo_code(view.n, view.m, view.dist, view.perms, order) == fast.zermelo_code(
-            view.n, view.m, view.dist, view.perms, order
-        )
+                picked = (tuple(optimum[f] for f in fcodes), tuple(kept[f] for f in fcodes))
+                assert _kernel_py.scan_nash(*args, fcodes, view.m, collect) == (
+                    codes if collect else None, count, *picked
+                ), (fcodes, collect)
 
-    def test_public_api_agrees_across_backends(self):
-        inst = tg.gen_group_levels(1, 2, 10)
-        assert tg.spe_outcomes(inst, backend="pure").outcomes == tg.spe_outcomes(inst, backend="compiled").outcomes
-        assert tg.enumerate_nash(inst, backend="pure").outcomes == tg.enumerate_nash(inst, backend="compiled").outcomes
-        assert (
-            tg.optimal_social(inst, "E", backend="pure") == tg.optimal_social(inst, "E", backend="compiled")
-        )
-        for mode in ("simultaneous", "sequential"):
-            pure = tg.analyze(inst, mode, backend="pure")
-            fast = tg.analyze(inst, mode, backend="compiled")
-            assert serialize_report(pure) == serialize_report(fast)
+    def test_scan_social(self, inst):
+        view = scaled_view(inst)
+        args = (view.n, view.m, view.dist, view.perms)
+        full = _kernel_py.scan_social(*args, ALL, view.m)
+        assert as_fractions(full, view.scale) == definitional_stats(definitional_values(inst), ALL)
+        assert _kernel_py.scan_social(*args, (2,), view.m) == full[2:]
+        assert _kernel_py.scan_social(*args, (), view.m) == ()
 
-    def test_compiled_set_overflow(self):
-        inst = tg.gen_zero_cluster_single(3)
-        with pytest.raises(tg.SetOverflowError):
-            tg.spe_outcomes(inst, node_set_cap=5, backend="compiled")
-
-    def test_compiled_refuses_overflowing_values(self):
-        huge = 2**70
-        inst = tg.Instance(1, 2, ((0, huge), (huge, 0)), ((1,), (1,)))
-        with pytest.raises(RuntimeError):
-            resolve_backend(scaled_view(inst), "compiled")
+    def test_zermelo_outcome(self, inst):
+        rng = random.Random(inst.n * 10 + inst.m)
+        orders = [tuple(range(1, inst.n + 1))] + [tuple(rng.sample(range(1, inst.n + 1), inst.n)) for _ in range(3)]
+        for order in orders:
+            assert tg.zermelo_outcome(inst, order)[0] == zermelo_reference(inst, order), order

@@ -259,7 +259,7 @@ def test_sweep_builds_each_summary_once_per_point(monkeypatch, node_set_cap):
     ]
     points = [{"n": 3, "m": 2, "epsilon": 2, "perm_scheme": "reverse"}, {"n": 4, "m": 2, "epsilon": 1}]
     spec = sweep_from_dict({"family": "uniform-star", "points": points, "bounds": rules})
-    result = tg.run_verify_bounds(spec, node_set_cap=node_set_cap, backend="pure")
+    result = tg.run_verify_bounds(spec, node_set_cap=node_set_cap)
     assert calls == {"scan_nash": 2, "scan_social": 0, "spe_codes": 2}
     overflowed = [row for row in result.rows if row.error is not None]
     assert all(row.error.startswith("SetOverflowError") for row in overflowed)
