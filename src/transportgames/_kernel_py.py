@@ -11,8 +11,8 @@ Shared argument layout (everything 0-based):
                 ``pos`` of bus ``j``
     fcodes      tuple of social function codes wanted: 0 = bus-distance total (D),
                 1 = worst cost (E), 2 = cost sum (U)
-    lead        how many buses the first player may use (m normally, 1 under
-                symmetry reduction)
+    lead        how many buses the first player may use: m, or 1 when every bus
+                shares one pickup order (`engine.ScaledView.lead`)
     order       flat n tuple for the sequential engines; ``order[k]`` is the player
                 moving at stage ``k``
 

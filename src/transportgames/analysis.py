@@ -89,7 +89,6 @@ def analyze(
     order: Sequence[int] | None = None,
     budget: int = DEFAULT_OUTCOME_BUDGET,
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
-    symmetry_reduction: bool = False,
 ) -> AnalysisReport:
     """Full equilibrium analysis of one instance.
 
@@ -99,15 +98,13 @@ def analyze(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if symmetry_reduction and mode == "sequential":
-        raise ValueError("symmetry reduction applies to the simultaneous mode only")
     for tag in functions:
         if tag not in SOCIAL_TAGS:
             raise ValueError(f"unknown social function {tag!r}")
     started = time.perf_counter()
 
     if mode == "simultaneous":
-        summary = nash_summary(inst, budget=budget, symmetry_reduction=symmetry_reduction)
+        summary = nash_summary(inst, budget=budget)
         resolved_order = None
     else:
         summary = spe_summary(inst, order=order, budget=budget, node_set_cap=node_set_cap)
@@ -265,6 +262,7 @@ _EXPR_FUNCTIONS: dict[str, Callable[..., Fraction]] = {
     "min": lambda *xs: min(xs),
     "max": lambda *xs: max(xs),
 }
+_UNARY_FUNCTIONS = ("floor", "ceil")
 
 
 def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
@@ -274,7 +272,13 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
     exponents), unary minus, and floor/ceil/min/max. Every rejected
     expression, a division by zero included, raises `ValueError`.
     """
-    tree = ast.parse(expr, mode="eval")
+    too_deep = f"bound expression {expr!r} is nested too deeply"
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"bound expression {expr!r} is not valid syntax: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # how CPython's parser reports deep nesting
+        raise ValueError(too_deep) from None
 
     def ev(node: ast.AST) -> Fraction:
         if isinstance(node, ast.Expression):
@@ -306,9 +310,14 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
                 return left ** int(right)
             raise ValueError(f"operator {type(node.op).__name__} is not allowed")
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
-            fn = _EXPR_FUNCTIONS.get(node.func.id)
+            name = node.func.id
+            fn = _EXPR_FUNCTIONS.get(name)
             if fn is None:
-                raise ValueError(f"unknown function {node.func.id!r} in bound expression")
+                raise ValueError(f"unknown function {name!r} in bound expression")
+            if name in _UNARY_FUNCTIONS and len(node.args) != 1:
+                raise ValueError(f"{name}() takes exactly one argument, got {len(node.args)}")
+            if not node.args:
+                raise ValueError(f"{name}() takes at least one argument")
             return fn(*(ev(arg) for arg in node.args))
         raise ValueError(f"unsupported syntax in bound expression: {ast.dump(node)}")
 
@@ -316,6 +325,8 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
         return ev(tree)
     except ZeroDivisionError:
         raise ValueError(f"bound expression {expr!r} divides by zero") from None
+    except RecursionError:
+        raise ValueError(too_deep) from None
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +362,35 @@ class SweepSpec:
     rules: tuple[BoundRule, ...]
 
 
-def sweep_from_dict(doc: Mapping) -> SweepSpec:
+def _objects(doc: Mapping, field: str) -> list:
+    value = doc.get(field, [])
+    if not isinstance(value, list) or not all(isinstance(item, Mapping) for item in value):
+        raise ValueError(f"sweep spec field {field!r} must be a list of objects")
+    return value
+
+
+def sweep_from_dict(doc: object) -> SweepSpec:
+    """Check a parsed sweep spec; every defect raises `ValueError` naming its field."""
+    if not isinstance(doc, Mapping):
+        raise ValueError("sweep spec must be a JSON object")
     family = doc.get("family")
     if not isinstance(family, str):
         raise ValueError("sweep spec needs a 'family' string")
-    points: list[dict] = [dict(p) for p in doc.get("points", [])]
+    points: list[dict] = [dict(p) for p in _objects(doc, "points")]
     grid = doc.get("grid")
     if grid:
+        if not isinstance(grid, Mapping):
+            raise ValueError("sweep spec field 'grid' must be an object")
+        for name, values in grid.items():
+            if not isinstance(values, list):
+                raise ValueError(f"sweep spec field 'grid.{name}' must be a list of values")
         names = sorted(grid)
         for combo in product(*(grid[name] for name in names)):
             points.append(dict(zip(names, combo)))
     if not points:
         raise ValueError("sweep spec needs a nonempty 'grid' or 'points'")
     rules = []
-    for raw in doc.get("bounds", []):
+    for raw in _objects(doc, "bounds"):
         relation = raw.get("relation")
         if relation not in RELATIONS:
             raise ValueError(f"bound relation must be one of {RELATIONS}, got {relation!r}")
@@ -374,14 +400,11 @@ def sweep_from_dict(doc: Mapping) -> SweepSpec:
         function = raw.get("function")
         if function not in SOCIAL_TAGS:
             raise ValueError(f"bound function must be one of {SOCIAL_TAGS}, got {function!r}")
-        if relation == "between":
-            if not raw.get("lower") or not raw.get("upper"):
-                raise ValueError("a 'between' bound needs 'lower' and 'upper' expressions")
-            rules.append(BoundRule(function, measure, relation, lower=raw["lower"], upper=raw["upper"]))
-        else:
-            if not raw.get("expected"):
-                raise ValueError(f"a {relation!r} bound needs an 'expected' expression")
-            rules.append(BoundRule(function, measure, relation, expected=raw["expected"]))
+        fields = ("lower", "upper") if relation == "between" else ("expected",)
+        for field in fields:
+            if not raw.get(field) or not isinstance(raw[field], str):
+                raise ValueError(f"a {relation!r} bound needs {field!r} as an expression string")
+        rules.append(BoundRule(function, measure, relation, **{field: raw[field] for field in fields}))
     if not rules:
         raise ValueError("sweep spec needs a nonempty 'bounds' list")
     return SweepSpec(family, tuple(points), tuple(rules))

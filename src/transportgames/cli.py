@@ -20,6 +20,7 @@ from .errors import (
     MalformedInstanceError,
     ParameterDomainError,
     SetOverflowError,
+    Violation,
 )
 from .families import FAMILIES, build_family
 
@@ -57,6 +58,8 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
 def _read_instance(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInstanceError([Violation("invalid-json", f"not UTF-8 text: {exc}")]) from None
     except OSError as exc:
         _echo(f"cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
@@ -137,12 +140,6 @@ def _parse_order(order: str | None) -> tuple[int, ...] | None:
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="table", show_default=True)
 @click.option("--budget-outcomes", type=int, default=10**7, show_default=True, help="Cap on m^n.")
 @click.option("--budget-node-set", type=int, default=10**6, show_default=True, help="Per-node result-set cap.")
-@click.option(
-    "--symmetry-reduction",
-    is_flag=True,
-    default=False,
-    help="Fix player 1's bus (simultaneous mode, equal permutations only).",
-)
 def analyze_cmd(
     file: str,
     mode: str,
@@ -151,7 +148,6 @@ def analyze_cmd(
     fmt: str,
     budget_outcomes: int,
     budget_node_set: int,
-    symmetry_reduction: bool,
 ):
     """Compute equilibria, optima, and inefficiency ratios for an instance."""
     try:
@@ -169,7 +165,6 @@ def analyze_cmd(
             order=_parse_order(order),
             budget=budget_outcomes,
             node_set_cap=budget_node_set,
-            symmetry_reduction=symmetry_reduction,
         )
     except (BudgetExceededError, SetOverflowError) as exc:
         _echo(f"error: {exc}", err=True)

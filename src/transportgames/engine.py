@@ -26,6 +26,7 @@ class ScaledView:
     scale: int
     dist: tuple[int, ...]
     perms: tuple[int, ...]
+    lead: int  # how many buses the scans let player 1 use: 1 or m
 
     def to_fraction(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
@@ -36,7 +37,10 @@ def scaled_view(inst: Instance) -> ScaledView:
     scale, rows = scaled_rows(inst.dist)
     flat = tuple(v for row in rows for v in row)
     perms_flat = tuple(p - 1 for perm in inst.perms for p in perm)
-    return ScaledView(inst.n, inst.m, scale, flat, perms_flat)
+    # Buses that share one pickup order can be relabeled without changing any
+    # cost, so the scans need only the outcomes with player 1 on bus 1.
+    lead = 1 if len(set(inst.perms)) == 1 else inst.m
+    return ScaledView(inst.n, inst.m, scale, flat, perms_flat, lead)
 
 
 # Read only by the benchmark harness in perfbench/, which still records a

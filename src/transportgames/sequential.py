@@ -203,7 +203,7 @@ def spe_summary(
     view, codes = _spe_codes(inst, order, budget, node_set_cap)
     n, m, dist, perms = view.n, view.m, view.dist, view.perms
     if optimum is None:
-        optimum = tuple(stats[:2] for stats in _kernel_py.scan_social(n, m, dist, perms, FCODES, m))
+        optimum = tuple(stats[:2] for stats in _kernel_py.scan_social(n, m, dist, perms, FCODES, view.lead))
     return EquilibriumSummary(view, len(codes), optimum, _kernel_py.code_stats(n, m, dist, perms, FCODES, codes))
 
 

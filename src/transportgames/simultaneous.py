@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations as _bus_relabelings
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -100,54 +99,30 @@ def is_nash_equilibrium(inst: Instance, sigma: Sequence[int]) -> bool:
     return find_improving_deviation(inst, sigma) is None
 
 
-def _reduced_lead(inst: Instance, symmetry_reduction: bool) -> int:
-    if not symmetry_reduction:
-        return inst.m
-    if any(perm != inst.perms[0] for perm in inst.perms):
-        raise ValueError("symmetry reduction requires all bus permutations to be equal")
-    return 1
-
-
-def _expand_bus_orbit(m: int, outcomes: Sequence[Outcome]) -> list[Outcome]:
-    # Sound whenever all permutations are equal: relabeling buses maps
-    # equilibria to equilibria and preserves every social value.
-    seen: set[Outcome] = set()
-    for sigma in outcomes:
-        for relabel in _bus_relabelings(range(1, m + 1)):
-            seen.add(tuple(relabel[b - 1] for b in sigma))
-    return sorted(seen)
-
-
 def enumerate_nash(
     inst: Instance,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    symmetry_reduction: bool = False,
 ) -> OutcomeSet:
     """Exactly the outcomes where no player has a strictly improving switch."""
     view = _kernel(inst, budget)
-    lead = _reduced_lead(inst, symmetry_reduction)
-    codes = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, (), lead, True)[0]
-    outcomes = [_decode(c, inst.n, inst.m) for c in codes]
-    if lead == 1:
-        outcomes = _expand_bus_orbit(inst.m, outcomes)
-    return evaluate_outcomes(inst, outcomes)
+    codes = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, (), view.m, True)[0]
+    return evaluate_outcomes(inst, [_decode(c, inst.n, inst.m) for c in codes])
 
 
 def optimal_social(
     inst: Instance,
     function: SocialTag,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    symmetry_reduction: bool = False,
 ) -> tuple[Fraction, Outcome]:
     """Minimum of a social function over all outcomes, with one minimizer.
 
-    Ties resolve to the lexicographically smallest outcome, with or without
-    symmetry reduction (see `nash_summary`).
+    Ties resolve to the lexicographically smallest outcome. When the buses
+    share one pickup order, the scan covers only the outcomes with player 1
+    on bus 1, and that outcome is among them (see `nash_summary`).
     """
     _require_tag(function)
     view = _kernel(inst, budget)
-    lead = _reduced_lead(inst, symmetry_reduction)
-    stats = _kernel_py.scan_social(view.n, view.m, view.dist, view.perms, (_FCODE[function],), lead)
+    stats = _kernel_py.scan_social(view.n, view.m, view.dist, view.perms, (_FCODE[function],), view.lead)
     minv, amin, _maxv, _amax = stats[0]
     return view.to_fraction(minv), _decode(amin, inst.n, inst.m)
 
@@ -196,40 +171,37 @@ class EquilibriumSummary:
 def nash_summary(
     inst: Instance,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    symmetry_reduction: bool = False,
 ) -> EquilibriumSummary:
     """The Nash equilibria and the optimum of every social function, from one
     kernel pass.
 
-    Symmetry reduction scans only the outcomes with player 1 on bus 1.
-    Relabeling buses maps equilibria to equilibria and keeps every value, so
-    player 1's bus splits the equilibria evenly (the count is m times the
-    scanned one), and the first outcome of each relabeling orbit, where ties
-    resolve, has player 1 on bus 1.
+    When the buses share one pickup order (`view.lead` is 1), the pass scans
+    only the outcomes with player 1 on bus 1. Relabeling buses then maps
+    equilibria to equilibria and keeps every value, so player 1's bus splits
+    the equilibria evenly (the count is m times the scanned one), and the
+    first outcome of each relabeling orbit, where ties resolve, has player 1
+    on bus 1.
     """
     view = _kernel(inst, budget)
-    lead = _reduced_lead(inst, symmetry_reduction)
-    _codes, count, optimum, kept = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, FCODES, lead, False)
-    return EquilibriumSummary(view, count * (inst.m // lead), optimum, kept)
+    _codes, count, optimum, kept = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, FCODES, view.lead, False)
+    return EquilibriumSummary(view, count * (view.m // view.lead), optimum, kept)
 
 
 def poa(
     inst: Instance,
     function: SocialTag,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    symmetry_reduction: bool = False,
 ) -> RatioReport:
     """Price of anarchy: worst Nash equilibrium value over the optimum."""
     _require_tag(function)
-    return nash_summary(inst, budget, symmetry_reduction).ratio(function, True, "PoA")
+    return nash_summary(inst, budget).ratio(function, True, "PoA")
 
 
 def pos(
     inst: Instance,
     function: SocialTag,
     budget: int = DEFAULT_OUTCOME_BUDGET,
-    symmetry_reduction: bool = False,
 ) -> RatioReport:
     """Price of stability: best Nash equilibrium value over the optimum."""
     _require_tag(function)
-    return nash_summary(inst, budget, symmetry_reduction).ratio(function, False, "PoS")
+    return nash_summary(inst, budget).ratio(function, False, "PoS")

@@ -120,6 +120,30 @@ class TestBoundExpressions:
             with pytest.raises(ValueError, match=rf"bound expression '{re.escape(bad)}' divides by zero"):
                 eval_bound_expr(bad, {"n": F(4), "m": F(2)})
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("floor(1, 2)", r"floor\(\) takes exactly one argument, got 2"),
+            ("floor()", r"floor\(\) takes exactly one argument, got 0"),
+            ("ceil(1, 2)", r"ceil\(\) takes exactly one argument, got 2"),
+            ("min()", r"min\(\) takes at least one argument"),
+            ("max()", r"max\(\) takes at least one argument"),
+            ("1/", r"bound expression '1/' is not valid syntax"),
+        ],
+        ids=["floor-two", "floor-none", "ceil-two", "min-none", "max-none", "syntax"],
+    )
+    def test_malformed_expression_is_a_value_error(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            eval_bound_expr(bad, {"n": F(4)})
+
+    def test_deep_nesting_is_a_value_error(self):
+        for bad in ("+".join(["n"] * 1000), "-" * 1000 + "n", "-" * 100_000 + "n"):
+            with pytest.raises(ValueError, match="is nested too deeply"):
+                eval_bound_expr(bad, {"n": F(4)})
+
+
+POA_GE_1 = {"function": "U", "measure": "poa", "relation": "ge", "expected": "1"}
+
 
 class TestSweeps:
     def test_shipped_sweeps_pass(self):
@@ -190,6 +214,29 @@ class TestSweeps:
                     "bounds": [{"function": "E", "measure": "spoa", "relation": "near", "expected": "1"}],
                 }
             )
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([{"family": "four-line"}], "JSON object"),
+            ({"family": "four-line", "grid": {"n": 3}, "bounds": [POA_GE_1]}, "'grid.n'"),
+            ({"family": "four-line", "points": [{}], "bounds": [{**POA_GE_1, "expected": 1}]}, "'expected'"),
+            (
+                {
+                    "family": "four-line",
+                    "points": [{}],
+                    "bounds": [{**POA_GE_1, "relation": "between", "lower": "1", "upper": 2}],
+                },
+                "'upper'",
+            ),
+            ({"family": "four-line", "points": "n=3", "bounds": [POA_GE_1]}, "'points'"),
+            ({"family": "four-line", "points": [{}], "bounds": POA_GE_1}, "'bounds'"),
+        ],
+        ids=["array", "grid-int", "expected-number", "upper-number", "points-string", "bounds-object"],
+    )
+    def test_malformed_spec_names_its_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            sweep_from_dict(doc)
 
     def test_render_formats(self):
         result = run_verify_bounds(tg.load_sweep(SWEEPS / "star_identity_worst_case.json"))

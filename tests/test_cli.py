@@ -6,6 +6,7 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import transportgames as tg
@@ -49,6 +50,16 @@ class TestValidate:
     def test_unreadable_path(self):
         result = runner.invoke(main, ["validate", "/no/such/file.json"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_non_utf8_file(self, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("invalid-json: not UTF-8 text")
+        assert len(result.output.splitlines()) == 1
 
 
 class TestGenerate:
@@ -122,18 +133,13 @@ class TestAnalyzeCommand:
         result = runner.invoke(main, ["analyze", path, "--budget-outcomes", "4"])
         assert result.exit_code == 2
 
-    def test_symmetry_reduction_flag(self, tmp_path):
-        path = write_instance(tmp_path, tg.gen_five_chain())
-        plain = runner.invoke(main, ["analyze", path, "--format", "json"])
-        reduced = runner.invoke(main, ["analyze", path, "--format", "json", "--symmetry-reduction"])
-        assert reduced.exit_code == 0
-        assert json.loads(plain.output)["functions"] == json.loads(reduced.output)["functions"]
-
-    def test_symmetry_reduction_rejected_in_sequential_mode(self, tmp_path):
+    def test_symmetry_reduction_option_removed(self, tmp_path):
+        assert "symmetry" not in runner.invoke(main, ["analyze", "--help"]).output
         path = write_instance(tmp_path, tg.gen_uniform_star(3, 2, 2))
-        result = runner.invoke(main, ["analyze", path, "--mode", "sequential", "--symmetry-reduction"])
-        assert result.exit_code == 1
-        assert "symmetry reduction" in result.output
+        for mode in ("simultaneous", "sequential"):
+            result = runner.invoke(main, ["analyze", path, "--mode", mode, "--symmetry-reduction"])
+            assert result.exit_code == 2
+            assert "No such option" in result.output and "--symmetry-reduction" in result.output
 
     def test_csv_format(self, tmp_path):
         path = write_instance(tmp_path, tg.gen_four_line())
@@ -190,6 +196,44 @@ class TestVerifyBounds:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         row = json.loads(result.output)["rows"][0]
         assert row["error"] == "ValueError: bound expression '1/(m-m)' divides by zero"
+
+    def test_malformed_expression_reported(self, tmp_path):
+        spec = {
+            "family": "four-line",
+            "points": [{}],
+            "bounds": [{"function": "U", "measure": "poa", "relation": "le", "expected": "floor(1, 2)"}],
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["verify-bounds", "--spec", str(path), "--format", "json"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        row = json.loads(result.output)["rows"][0]
+        assert row["error"] == "ValueError: floor() takes exactly one argument, got 2"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([], "sweep spec must be a JSON object"),
+            ({"family": "four-line", "grid": {"n": 3}}, "'grid.n' must be a list"),
+            (
+                {
+                    "family": "four-line",
+                    "points": [{}],
+                    "bounds": [{"function": "U", "measure": "poa", "relation": "le", "expected": 1}],
+                },
+                "needs 'expected' as an expression string",
+            ),
+        ],
+        ids=["array", "grid-int", "expected-number"],
+    )
+    def test_malformed_spec_is_an_error(self, tmp_path, spec, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["verify-bounds", "--spec", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ") and message in result.output
 
     def test_missing_spec_file(self):
         result = runner.invoke(main, ["verify-bounds", "--spec", "/no/such/sweep.json"])

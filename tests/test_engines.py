@@ -48,6 +48,14 @@ class TestScaledView:
                 view = scaled_view(inst)
                 assert (view.scale, view.dist, view.perms) == recomputed_view(inst), (tag, params)
 
+    def test_lead_is_one_exactly_when_the_buses_share_an_order(self):
+        for tag, param_sets in FAMILY_PARAMS.items():
+            for params in param_sets:
+                inst = tg.build_family(tag, params)
+                expected = inst.m if tag == "random-metric" else 1
+                assert scaled_view(inst).lead == expected, (tag, params)
+        assert scaled_view(NE_FREE).lead == NE_FREE.m
+
     def test_common_denominator(self):
         inst = tg.gen_zero_cluster_far(4, 2, F(1, 10))
         view = scaled_view(inst)

@@ -15,6 +15,13 @@ def all_zero(n, m):
                        tuple(tuple(range(1, n + 1)) for _ in range(m)))
 
 
+def definitional_optimum(inst, function):
+    """Minimum social value and its lexicographically first minimizer, by enumeration."""
+    outcomes = list(tg.enumerate_outcomes(inst))
+    values = [tg.social_cost(inst, sigma, function) for sigma in outcomes]
+    return min(values), outcomes[values.index(min(values))]
+
+
 class TestEnumeration:
     def test_two_by_two(self):
         inst = all_zero(2, 2)
@@ -94,6 +101,13 @@ class TestOptimalSocial:
     def test_far_cluster_sum(self):
         assert tg.optimal_social(tg.gen_zero_cluster_far(4, 2, F(1, 10)), "U")[0] == F(21, 10)
 
+    def test_matches_definition(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            inst = random_instance(rng)
+            for function in tg.SOCIAL_TAGS:
+                assert tg.optimal_social(inst, function) == definitional_optimum(inst, function), (inst, function)
+
     def test_witness_is_lexicographically_smallest(self):
         inst = all_zero(2, 2)
         assert tg.optimal_social(inst, "U")[1] == (1, 1)
@@ -142,25 +156,49 @@ class TestRatios:
             tg.pos(inst, "U")
 
 
+def shared_order(inst):
+    """`inst` with every bus using bus 1's pickup order."""
+    return tg.Instance(inst.n, inst.m, inst.dist, (inst.perms[0],) * inst.m, inst.declared_metric)
+
+
+SHARED_ORDER_GAMES = [
+    tg.gen_uniform_star(3, 3, 2, "identity"),
+    tg.gen_uniform_star(4, 2, F(1, 8), "reverse"),
+    tg.gen_zero_cluster_far(4, 2, F(1, 10)),
+    tg.gen_zero_cluster_far(4, 3, 0),
+    tg.gen_group_levels(1, 3, 10),
+    tg.gen_five_chain(),
+]
+
+
+def definitional_ratio(inst, function, worst):
+    """(ratio, equilibrium witness, optimal witness) from the definitions, ties to the first outcome."""
+    nash = [sigma for sigma in tg.enumerate_outcomes(inst) if tg.find_improving_deviation(inst, sigma) is None]
+    values = [tg.social_cost(inst, sigma, function) for sigma in nash]
+    value = max(values) if worst else min(values)
+    optimal_value, optimal_witness = definitional_optimum(inst, function)
+    return value / optimal_value, nash[values.index(value)], optimal_witness
+
+
 class TestSymmetryReduction:
-    def test_requires_equal_permutations(self):
-        with pytest.raises(ValueError):
-            tg.enumerate_nash(NE_FREE, symmetry_reduction=True)
+    """Games whose buses share one pickup order, where the scans cover only
+    the outcomes with player 1 on bus 1."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equilibrium_set_unchanged(self, seed):
-        rng = random.Random(seed)
-        inst = random_instance(rng, metric=True)
-        shared = (inst.perms[0],) * inst.m
-        inst = tg.Instance(inst.n, inst.m, inst.dist, shared, inst.declared_metric)
-        full = tg.enumerate_nash(inst).outcomes
-        reduced = tg.enumerate_nash(inst, symmetry_reduction=True).outcomes
-        assert full == reduced
+        inst = shared_order(random_instance(random.Random(seed), metric=True))
+        expected = [sigma for sigma in tg.enumerate_outcomes(inst) if tg.find_improving_deviation(inst, sigma) is None]
+        assert tg.enumerate_nash(inst).outcomes == tuple(expected)
 
     def test_optimum_value_unchanged(self):
-        inst = tg.gen_uniform_star(3, 3, 2, "identity")
-        assert tg.optimal_social(inst, "E")[0] == tg.optimal_social(inst, "E", symmetry_reduction=True)[0]
+        for inst in SHARED_ORDER_GAMES:
+            for function in tg.SOCIAL_TAGS:
+                assert tg.optimal_social(inst, function) == definitional_optimum(inst, function), (inst, function)
 
     def test_ratio_unchanged(self):
-        inst = tg.gen_zero_cluster_far(4, 2, F(1, 10))
-        assert tg.poa(inst, "U").ratio == tg.poa(inst, "U", symmetry_reduction=True).ratio
+        for inst in SHARED_ORDER_GAMES:
+            for function in tg.SOCIAL_TAGS:
+                for worst, ratio in ((True, tg.poa), (False, tg.pos)):
+                    report = ratio(inst, function)
+                    got = (report.ratio, report.equilibrium_witness, report.optimal_witness)
+                    assert got == definitional_ratio(inst, function, worst), (inst, function, worst)

@@ -15,10 +15,13 @@ from itertools import permutations
 import pytest
 
 import transportgames as tg
+from transportgames import _kernel_py
 from transportgames.analysis import FunctionReport, SweepRow, eval_bound_expr, sweep_from_dict
 from transportgames.core import to_fraction
+from transportgames.engine import scaled_view
 from transportgames.families import FAMILIES, Family, FamilyParam
-from transportgames.simultaneous import nash_summary
+from transportgames.sequential import spe_summary
+from transportgames.simultaneous import FCODES, nash_summary
 
 from support import NE_FREE, random_instance, tie_instance
 
@@ -151,14 +154,12 @@ class TestSymmetryReduction:
     def test_reduced_scan_gives_identical_summary(self, seed):
         inst = tie_instance(random.Random(seed))
         inst = tg.Instance(inst.n, inst.m, inst.dist, (inst.perms[0],) * inst.m)
-        assert nash_summary(inst, symmetry_reduction=True) == nash_summary(inst)
-        reduced = tg.analyze(inst, "simultaneous", symmetry_reduction=True)
-        full = tg.analyze(inst, "simultaneous")
-        assert reduced.functions == full.functions
-
-    def test_sequential_mode_rejects_the_flag(self):
-        with pytest.raises(ValueError, match="symmetry reduction"):
-            tg.analyze(tg.gen_uniform_star(3, 2, 2), "sequential", symmetry_reduction=True)
+        view = scaled_view(inst)
+        assert view.lead == 1
+        full = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, FCODES, view.m, False)
+        summary = nash_summary(inst)
+        assert (summary.count, summary.optimum, summary.kept) == full[1:]  # count, optimum, kept
+        assert spe_summary(inst).optimum == full[2]
 
 
 # ---------------------------------------------------------------------------
