@@ -133,13 +133,19 @@ class TestAnalyzeCommand:
         result = runner.invoke(main, ["analyze", path, "--budget-outcomes", "4"])
         assert result.exit_code == 2
 
-    def test_symmetry_reduction_option_removed(self, tmp_path):
+    def test_symmetry_reduction_flag(self, tmp_path):
+        # The instance decides the reduction itself; the old flag is a usage error.
         assert "symmetry" not in runner.invoke(main, ["analyze", "--help"]).output
+        path = write_instance(tmp_path, tg.gen_five_chain())
+        result = runner.invoke(main, ["analyze", path, "--format", "json", "--symmetry-reduction"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--symmetry-reduction" in result.output
+
+    def test_symmetry_reduction_rejected_in_sequential_mode(self, tmp_path):
         path = write_instance(tmp_path, tg.gen_uniform_star(3, 2, 2))
-        for mode in ("simultaneous", "sequential"):
-            result = runner.invoke(main, ["analyze", path, "--mode", mode, "--symmetry-reduction"])
-            assert result.exit_code == 2
-            assert "No such option" in result.output and "--symmetry-reduction" in result.output
+        result = runner.invoke(main, ["analyze", path, "--mode", "sequential", "--symmetry-reduction"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--symmetry-reduction" in result.output
 
     def test_csv_format(self, tmp_path):
         path = write_instance(tmp_path, tg.gen_four_line())
