@@ -14,7 +14,6 @@ from .core import (
     Instance,
     MetricCheck,
     Outcome,
-    OutcomeEvaluation,
     OutcomeSet,
     SOCIAL_TAGS,
     SocialTag,
@@ -23,7 +22,6 @@ from .core import (
     check_metric,
     cost_vector,
     dumps_instance,
-    evaluate_outcome,
     evaluate_outcomes,
     instance_digest,
     load_instance,

@@ -1,9 +1,8 @@
 """Analysis reports, their serialization, and parameter-sweep bound checks.
 
 Reports are deterministic functions of (instance, flags): every numeric field
-is an exact rational rendered as a string, and the wall-clock timing field is
-excluded from serialized output unless explicitly requested, so default output
-is byte-identical across runs.
+is an exact rational rendered as a string, so output is byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -38,7 +36,7 @@ from .errors import (
 from .families import build_family
 
 # enumerate_nash, optimal_social, poa, pos, spe_outcomes, spoa and spos are
-# not used here; they stay importable from this module.
+# not used here; perfbench/tracing.py wraps them at these names.
 from .sequential import DEFAULT_NODE_SET_CAP, spe_outcomes, spe_summary, spoa, spos
 from .simultaneous import (
     DEFAULT_OUTCOME_BUDGET,
@@ -79,7 +77,6 @@ class AnalysisReport:
     mode: str
     order: tuple[int, ...] | None
     functions: tuple[FunctionReport, ...]
-    elapsed_seconds: float
 
 
 def analyze(
@@ -101,7 +98,6 @@ def analyze(
     for tag in functions:
         if tag not in SOCIAL_TAGS:
             raise ValueError(f"unknown social function {tag!r}")
-    started = time.perf_counter()
 
     if mode == "simultaneous":
         summary = nash_summary(inst, budget=budget)
@@ -111,13 +107,7 @@ def analyze(
         resolved_order = tuple(order) if order is not None else tuple(range(1, inst.n + 1))
 
     blocks = tuple(_function_report(summary, tag) for tag in functions)
-    return AnalysisReport(
-        digest=instance_digest(inst),
-        mode=mode,
-        order=resolved_order,
-        functions=blocks,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    return AnalysisReport(digest=instance_digest(inst), mode=mode, order=resolved_order, functions=blocks)
 
 
 def _function_report(summary: EquilibriumSummary, tag: SocialTag) -> FunctionReport:
@@ -140,16 +130,12 @@ def _frac_str(value: Fraction | None) -> str | None:
     return None if value is None else str(value)
 
 
-def _frac_from(value: str | None) -> Fraction | None:
-    return None if value is None else Fraction(value)
-
-
 def _outcome_list(outcome: Outcome | None) -> list[int] | None:
     return None if outcome is None else list(outcome)
 
 
-def report_to_dict(report: AnalysisReport, include_timing: bool = False) -> dict:
-    doc: dict = {
+def report_to_dict(report: AnalysisReport) -> dict:
+    return {
         "digest": report.digest,
         "mode": report.mode,
         "order": list(report.order) if report.order is not None else None,
@@ -170,35 +156,6 @@ def report_to_dict(report: AnalysisReport, include_timing: bool = False) -> dict
             for block in report.functions
         ],
     }
-    if include_timing:
-        doc["elapsed_seconds"] = report.elapsed_seconds
-    return doc
-
-
-def report_from_dict(doc: Mapping) -> AnalysisReport:
-    blocks = tuple(
-        FunctionReport(
-            function=entry["function"],
-            optimal_value=Fraction(entry["optimal_value"]),
-            optimal_witness=tuple(entry["optimal_witness"]),
-            equilibrium_count=int(entry["equilibrium_count"]),
-            min_equilibrium_value=_frac_from(entry["min_equilibrium_value"]),
-            max_equilibrium_value=_frac_from(entry["max_equilibrium_value"]),
-            best_ratio=_frac_from(entry["best_ratio"]),
-            worst_ratio=_frac_from(entry["worst_ratio"]),
-            best_witness=tuple(entry["best_witness"]) if entry["best_witness"] is not None else None,
-            worst_witness=tuple(entry["worst_witness"]) if entry["worst_witness"] is not None else None,
-            errors=tuple(entry["errors"]),
-        )
-        for entry in doc["functions"]
-    )
-    return AnalysisReport(
-        digest=doc["digest"],
-        mode=doc["mode"],
-        order=tuple(doc["order"]) if doc.get("order") is not None else None,
-        functions=blocks,
-        elapsed_seconds=float(doc.get("elapsed_seconds", 0.0)),
-    )
 
 
 def _measure_rows(report: AnalysisReport):
@@ -208,18 +165,28 @@ def _measure_rows(report: AnalysisReport):
         yield block, best_name, block.best_ratio, block.min_equilibrium_value, block.best_witness
 
 
-def serialize_report(report: AnalysisReport, fmt: str = "json", include_timing: bool = False) -> str:
+def _csv(rows: list[list[str]]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _table(title: str, rows: list[list[str]]) -> str:
+    """`title`, then `rows` in left-aligned columns with a rule under the first (header) row."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return f"{title}\n" + "\n".join(lines) + "\n"
+
+
+def serialize_report(report: AnalysisReport, fmt: str = "json") -> str:
     """Stable-order rendering of a report as json, csv, or a text table."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report, include_timing=include_timing), indent=2) + "\n"
+        return json.dumps(report_to_dict(report), indent=2) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(
-            ["function", "measure", "ratio", "equilibrium_value", "optimal_value", "witness", "errors"]
-        )
+        rows = [["function", "measure", "ratio", "equilibrium_value", "optimal_value", "witness", "errors"]]
         for block, measure, ratio, eq_value, witness in _measure_rows(report):
-            writer.writerow(
+            rows.append(
                 [
                     block.function,
                     measure,
@@ -230,10 +197,9 @@ def serialize_report(report: AnalysisReport, fmt: str = "json", include_timing: 
                     "|".join(block.errors),
                 ]
             )
-        return buffer.getvalue()
+        return _csv(rows)
     if fmt == "table":
-        header = ["function", "measure", "ratio", "equilibrium", "optimal", "errors"]
-        rows = [header]
+        rows = [["function", "measure", "ratio", "equilibrium", "optimal", "errors"]]
         for block, measure, ratio, eq_value, _witness in _measure_rows(report):
             rows.append(
                 [
@@ -245,10 +211,7 @@ def serialize_report(report: AnalysisReport, fmt: str = "json", include_timing: 
                     ", ".join(block.errors) or MISSING,
                 ]
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return f"instance {report.digest[:12]}  mode={report.mode}\n" + "\n".join(lines) + "\n"
+        return _table(f"instance {report.digest[:12]}  mode={report.mode}", rows)
     raise ValueError(f"unknown format {fmt!r}, expected json, csv, or table")
 
 
@@ -263,6 +226,9 @@ _EXPR_FUNCTIONS: dict[str, Callable[..., Fraction]] = {
     "max": lambda *xs: max(xs),
 }
 _UNARY_FUNCTIONS = ("floor", "ceil")
+# Largest power, in bits, that a bound may compute. The shipped forms stay
+# under 100 bits; an exponent like 10**12 would otherwise exhaust memory.
+_MAX_POWER_BITS = 10_000
 
 
 def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
@@ -270,7 +236,8 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
 
     Supports rational literals, parameter names, + - * / ** (integer
     exponents), unary minus, and floor/ceil/min/max. Every rejected
-    expression, a division by zero included, raises `ValueError`.
+    expression, a division by zero or a power over `_MAX_POWER_BITS`
+    included, raises `ValueError`.
     """
     too_deep = f"bound expression {expr!r} is nested too deeply"
     try:
@@ -307,6 +274,10 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
             if isinstance(node.op, ast.Pow):
                 if right.denominator != 1:
                     raise ValueError("exponents must be integers")
+                # log2 of the result is at least this, and 0 for bases 0 and +-1.
+                bits = (max(abs(left.numerator), left.denominator).bit_length() - 1) * abs(right.numerator)
+                if bits > _MAX_POWER_BITS:
+                    raise ValueError(f"a power in bound expression {expr!r} is too large")
                 return left ** int(right)
             raise ValueError(f"operator {type(node.op).__name__} is not allowed")
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
@@ -531,11 +502,9 @@ def render_sweep(result: SweepResult, fmt: str = "table") -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["params", "function", "measure", "measured", "expected", "passed", "error"])
+        rows = [["params", "function", "measure", "measured", "expected", "passed", "error"]]
         for row in result.rows:
-            writer.writerow(
+            rows.append(
                 [
                     " ".join(f"{k}={v}" for k, v in row.params),
                     row.function,
@@ -546,10 +515,9 @@ def render_sweep(result: SweepResult, fmt: str = "table") -> str:
                     row.error or "",
                 ]
             )
-        return buffer.getvalue()
+        return _csv(rows)
     if fmt == "table":
-        header = ["params", "function", "measure", "measured", "expected", "status"]
-        rows = [header]
+        rows = [["params", "function", "measure", "measured", "expected", "status"]]
         for row in result.rows:
             if row.error is not None:
                 status = f"error: {row.error}"
@@ -565,8 +533,5 @@ def render_sweep(result: SweepResult, fmt: str = "table") -> str:
                     status,
                 ]
             )
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)).rstrip() for r in rows]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return f"family {result.family}\n" + "\n".join(lines) + "\n"
+        return _table(f"family {result.family}", rows)
     raise ValueError(f"unknown format {fmt!r}, expected json, csv, or table")

@@ -5,6 +5,11 @@ the structural and metric checks the distances are common-denominator integers
 (`scaled_rows`). Either way cost comparisons, and in particular tie detection
 inside the equilibrium engines, are exact.
 
+The cost functions here (`player_cost`, `cost_vector`, `social_cost`, ...) are
+the definitions, read one outcome at a time. An `OutcomeSet` holds the
+kernels' codes instead and takes its extremes from their integer statistics
+(`_kernel_py.code_stats`), the same routine the analysis summaries use.
+
 Conventions used throughout the package:
 
 * players are labelled ``1..n``; the shared destination is the string ``"t"``;
@@ -27,14 +32,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
+from . import _kernel_py
 from .errors import (
     BusOutOfRangeError,
     MalformedInstanceError,
     PlayerOutOfRangeError,
     Violation,
 )
+
+if TYPE_CHECKING:
+    from .engine import ScaledView
 
 SocialTag = Literal["D", "E", "U"]
 SOCIAL_TAGS: tuple[SocialTag, ...] = ("D", "E", "U")
@@ -146,9 +155,9 @@ def instance_violations(
 
     if len(perms) != m:
         out.append(Violation("permutation-count", f"expected {m} pickup permutations, got {len(perms)}"))
-    expected = set(range(1, n + 1))
     for j, perm in enumerate(perms, start=1):
-        if len(perm) != n or set(perm) != expected:
+        # Compared with 1..n only at length n, so memory follows the data, not the declared n.
+        if len(perm) != n or set(perm) != set(range(1, n + 1)):
             out.append(
                 Violation("not-a-permutation", f"permutation of bus {j} is not a bijection on 1..{n}: {tuple(perm)}")
             )
@@ -330,89 +339,77 @@ SOCIAL_FUNCTIONS = {
 }
 
 
+def social_code(function: str) -> int:
+    """The kernels' code for a social function: its index in `SOCIAL_TAGS`."""
+    if function not in SOCIAL_TAGS:
+        raise ValueError(f"unknown social function {function!r}, expected one of {SOCIAL_TAGS}")
+    return SOCIAL_TAGS.index(function)
+
+
 def social_cost(inst: Instance, sigma: Sequence[int], function: SocialTag) -> Fraction:
     """Evaluate one of the social cost functions ``D``, ``E``, ``U``."""
-    try:
-        fn = SOCIAL_FUNCTIONS[function]
-    except KeyError:
-        raise ValueError(f"unknown social function {function!r}, expected one of {SOCIAL_TAGS}") from None
-    return fn(inst, sigma)
-
-
-@dataclass(frozen=True)
-class OutcomeEvaluation:
-    """One outcome together with its exact cost vector and social values."""
-
-    outcome: Outcome
-    costs: CostVector
-    bus_total: Fraction
-    worst_cost: Fraction
-    cost_sum: Fraction
-
-    def social(self, function: SocialTag) -> Fraction:
-        if function == "D":
-            return self.bus_total
-        if function == "E":
-            return self.worst_cost
-        if function == "U":
-            return self.cost_sum
-        raise ValueError(f"unknown social function {function!r}")
-
-
-def evaluate_outcome(inst: Instance, sigma: Sequence[int]) -> OutcomeEvaluation:
-    costs = cost_vector(inst, sigma)
-    return OutcomeEvaluation(
-        outcome=tuple(sigma),
-        costs=costs,
-        bus_total=bus_distance_total(inst, sigma),
-        worst_cost=max(costs),
-        cost_sum=sum(costs, Fraction(0)),
-    )
+    social_code(function)
+    return SOCIAL_FUNCTIONS[function](inst, sigma)
 
 
 @dataclass(frozen=True)
 class OutcomeSet:
-    """A duplicate-free collection of evaluated outcomes.
+    """A duplicate-free set of outcomes, held as the sorted kernel codes of
+    the instance's scaled view (`engine.ScaledView`).
 
     Serves both as the Nash-equilibrium set of the simultaneous game and as
     the set of outcomes realizable by subgame-perfect play in the sequential
-    game. Ties in `min_social`/`max_social` resolve to the earliest stored
-    outcome (the sets are kept in lexicographic order).
+    game. Iteration yields the outcomes in lexicographic order; read their
+    values with `cost_vector` and `social_cost`. `min_social`/`max_social`
+    take the kernel's integer statistics, so ties resolve to the earliest
+    outcome, as in the analysis summaries.
     """
 
-    evaluations: tuple[OutcomeEvaluation, ...]
+    view: ScaledView
+    codes: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.evaluations)
+        return len(self.codes)
 
-    def __iter__(self):
-        return iter(self.evaluations)
-
-    def __bool__(self) -> bool:
-        return bool(self.evaluations)
+    def __iter__(self) -> Iterator[Outcome]:
+        return map(self.view.outcome, self.codes)
 
     @property
     def outcomes(self) -> tuple[Outcome, ...]:
-        return tuple(ev.outcome for ev in self.evaluations)
+        return tuple(self)
 
     def contains(self, sigma: Sequence[int]) -> bool:
-        target = tuple(sigma)
-        return any(ev.outcome == target for ev in self.evaluations)
+        view = self.view
+        valid = len(sigma) == view.n and all(isinstance(bus, int) and 1 <= bus <= view.m for bus in sigma)
+        return valid and view.code(sigma) in self.codes
 
-    def social_values(self, function: SocialTag) -> tuple[Fraction, ...]:
-        return tuple(ev.social(function) for ev in self.evaluations)
+    def _stats(self, function: SocialTag) -> tuple[int, int, int, int]:
+        """(min, argmin, max, argmax) of `function` over the set, scaled."""
+        code = social_code(function)
+        if not self.codes:
+            raise ValueError(f"an empty outcome set has no extreme {function} value")
+        view = self.view
+        return _kernel_py.code_stats(view.n, view.m, view.dist, view.perms, (code,), self.codes)[0]
 
     def min_social(self, function: SocialTag) -> tuple[Fraction, Outcome]:
-        best = min(self.evaluations, key=lambda ev: ev.social(function))
-        return best.social(function), best.outcome
+        value, code = self._stats(function)[:2]
+        return self.view.to_fraction(value), self.view.outcome(code)
 
     def max_social(self, function: SocialTag) -> tuple[Fraction, Outcome]:
-        best = max(self.evaluations, key=lambda ev: ev.social(function))
-        return best.social(function), best.outcome
+        value, code = self._stats(function)[2:]
+        return self.view.to_fraction(value), self.view.outcome(code)
 
 
 def evaluate_outcomes(inst: Instance, sigmas: Iterable[Sequence[int]]) -> OutcomeSet:
-    return OutcomeSet(tuple(evaluate_outcome(inst, s) for s in sigmas))
+    """The set of the given outcomes, each checked against `inst`."""
+    from .engine import scaled_view  # engine builds on this module
+
+    view = scaled_view(inst)
+    codes = set()
+    for sigma in sigmas:
+        _check_outcome(inst, sigma)
+        codes.add(view.code(sigma))
+    return OutcomeSet(view, tuple(sorted(codes)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +431,10 @@ def instance_to_dict(inst: Instance) -> dict:
     return doc
 
 
+def _is_array(value: object) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
 def validate_instance(raw: object) -> Instance:
     """Build an `Instance` from untrusted data, or raise with every violation found."""
     if not isinstance(raw, Mapping):
@@ -450,12 +451,12 @@ def validate_instance(raw: object) -> Instance:
 
     distances_raw = raw["distances"]
     dist: list[list[Fraction]] = []
-    if not isinstance(distances_raw, Sequence) or isinstance(distances_raw, (str, bytes)):
+    if not _is_array(distances_raw):
         violations.append(Violation("malformed", "'distances' must be an array of arrays"))
     else:
         for i, row in enumerate(distances_raw):
             parsed_row: list[Fraction] = []
-            if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
+            if not _is_array(row):
                 violations.append(Violation("malformed", f"distances row {i} is not an array"))
                 continue
             for j, entry in enumerate(row):
@@ -468,13 +469,11 @@ def validate_instance(raw: object) -> Instance:
 
     perms_raw = raw["permutations"]
     perms: list[list[int]] = []
-    if not isinstance(perms_raw, Sequence) or isinstance(perms_raw, (str, bytes)):
+    if not _is_array(perms_raw):
         violations.append(Violation("malformed", "'permutations' must be an array of arrays"))
     else:
         for j, perm in enumerate(perms_raw):
-            if not isinstance(perm, Sequence) or isinstance(perm, (str, bytes)) or not all(
-                isinstance(p, int) and not isinstance(p, bool) for p in perm
-            ):
+            if not _is_array(perm) or not all(isinstance(p, int) and not isinstance(p, bool) for p in perm):
                 violations.append(Violation("not-a-permutation", f"permutation {j + 1} is not an integer array"))
                 perms.append([])
             else:
@@ -482,8 +481,10 @@ def validate_instance(raw: object) -> Instance:
 
     vertices = raw.get("vertices")
     if vertices is not None and isinstance(n, int):
-        expected = list(range(1, n + 1)) + [DESTINATION]
-        if list(vertices) != expected:
+        # As for permutations, the labels are listed only at the right length.
+        if not _is_array(vertices) or len(vertices) != n + 1:
+            violations.append(Violation("bad-vertices", f"vertices must be an array of 1..{n} and {DESTINATION!r}"))
+        elif list(vertices) != (expected := list(range(1, n + 1)) + [DESTINATION]):
             violations.append(Violation("bad-vertices", f"vertices must be {expected}"))
 
     if violations:

@@ -4,7 +4,8 @@ The enumeration kernels in `_kernel_py` work on integer distances obtained by
 multiplying the whole matrix by the least common multiple of its
 denominators. Every player cost and social value is then an integer,
 comparisons stay exact, and results convert back to `Fraction` by dividing
-out the scale.
+out the scale. Outcomes travel as the kernels' codes, their lexicographic
+ranks, and become tuples only when read.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from . import _kernel_py
-from .core import Instance, scaled_rows
+from .core import Instance, Outcome, scaled_rows
 
 
 @dataclass(frozen=True)
@@ -30,6 +32,20 @@ class ScaledView:
 
     def to_fraction(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
+
+    def outcome(self, code: int) -> Outcome:
+        """The outcome whose kernel code is `code`."""
+        digits = [0] * self.n
+        for i in range(self.n - 1, -1, -1):
+            code, digits[i] = divmod(code, self.m)
+        return tuple(d + 1 for d in digits)
+
+    def code(self, sigma: Sequence[int]) -> int:
+        """The kernel code of an outcome: its lexicographic rank."""
+        code = 0
+        for bus in sigma:
+            code = code * self.m + bus - 1
+        return code
 
 
 @lru_cache(maxsize=256)

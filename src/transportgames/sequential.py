@@ -24,6 +24,7 @@ from .core import (
     SocialTag,
     cost_vector,
     evaluate_outcomes,
+    social_code,
 )
 from .errors import OracleBudgetExceededError
 from .simultaneous import (
@@ -31,10 +32,8 @@ from .simultaneous import (
     FCODES,
     EquilibriumSummary,
     RatioReport,
-    _decode,
     _kernel,
-    _require_tag,
-    optimal_social,  # unused here; kept importable from this module
+    optimal_social,  # unused here; perfbench/tracing.py wraps it at this name
 )
 
 DEFAULT_NODE_SET_CAP = 10**6
@@ -71,8 +70,8 @@ def spe_outcomes(
     profile. Raises `SetOverflowError` when a per-node result set exceeds
     `node_set_cap`.
     """
-    codes = _spe_codes(inst, order, budget, node_set_cap)[1]
-    return evaluate_outcomes(inst, [_decode(c, inst.n, inst.m) for c in codes])
+    view, codes = _spe_codes(inst, order, budget, node_set_cap)
+    return OutcomeSet(view, tuple(codes))
 
 
 def zermelo_outcome(
@@ -88,7 +87,7 @@ def zermelo_outcome(
     order_t = _resolve_order(inst, order)
     view = _kernel(inst, budget)
     code = _kernel_py.zermelo_code(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t))
-    sigma = _decode(code, inst.n, inst.m)
+    sigma = view.outcome(code)
     return sigma, cost_vector(inst, sigma)
 
 
@@ -186,7 +185,7 @@ def spe_oracle(
         if ok:
             sig = outcome_from(table, 0, 0, table[0])
             realized.add(tuple(b + 1 for b in sig))
-    return evaluate_outcomes(inst, sorted(realized))
+    return evaluate_outcomes(inst, realized)
 
 
 def spe_summary(
@@ -215,7 +214,7 @@ def spoa(
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
 ) -> RatioReport:
     """Sequential price of anarchy: worst SPE-outcome value over the optimum."""
-    _require_tag(function)
+    social_code(function)
     return spe_summary(inst, order, budget, node_set_cap).ratio(function, True, "SPoA")
 
 
@@ -227,5 +226,5 @@ def spos(
     node_set_cap: int = DEFAULT_NODE_SET_CAP,
 ) -> RatioReport:
     """Sequential price of stability: best SPE-outcome value over the optimum."""
-    _require_tag(function)
+    social_code(function)
     return spe_summary(inst, order, budget, node_set_cap).ratio(function, False, "SPoS")

@@ -18,16 +18,15 @@ from .core import (
     Instance,
     Outcome,
     OutcomeSet,
-    SOCIAL_TAGS,
     SocialTag,
-    evaluate_outcomes,
+    evaluate_outcomes,  # unused here; perfbench/tracing.py wraps it at this name
     player_cost,
+    social_code,
 )
 from .errors import BudgetExceededError, DegenerateOptimumError, NoEquilibriumError
 
 DEFAULT_OUTCOME_BUDGET = 10**7
 
-_FCODE = {"D": 0, "E": 1, "U": 2}
 FCODES = (0, 1, 2)
 
 
@@ -45,20 +44,6 @@ def _kernel(inst: Instance, budget: int) -> engine.ScaledView:
     """The scaled view the kernels read for `inst`, within the budget."""
     _require_budget(inst, budget)
     return engine.scaled_view(inst)
-
-
-def _require_tag(function: str) -> SocialTag:
-    if function not in SOCIAL_TAGS:
-        raise ValueError(f"unknown social function {function!r}, expected one of {SOCIAL_TAGS}")
-    return function  # type: ignore[return-value]
-
-
-def _decode(code: int, n: int, m: int) -> Outcome:
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        code, r = divmod(code, m)
-        digits[i] = r + 1
-    return tuple(digits)
 
 
 def enumerate_outcomes(inst: Instance, budget: int = DEFAULT_OUTCOME_BUDGET) -> Iterator[Outcome]:
@@ -106,7 +91,7 @@ def enumerate_nash(
     """Exactly the outcomes where no player has a strictly improving switch."""
     view = _kernel(inst, budget)
     codes = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, (), view.m, True)[0]
-    return evaluate_outcomes(inst, [_decode(c, inst.n, inst.m) for c in codes])
+    return OutcomeSet(view, tuple(codes))
 
 
 def optimal_social(
@@ -120,11 +105,10 @@ def optimal_social(
     share one pickup order, the scan covers only the outcomes with player 1
     on bus 1, and that outcome is among them (see `nash_summary`).
     """
-    _require_tag(function)
+    code = social_code(function)
     view = _kernel(inst, budget)
-    stats = _kernel_py.scan_social(view.n, view.m, view.dist, view.perms, (_FCODE[function],), view.lead)
-    minv, amin, _maxv, _amax = stats[0]
-    return view.to_fraction(minv), _decode(amin, inst.n, inst.m)
+    minv, amin, _maxv, _amax = _kernel_py.scan_social(view.n, view.m, view.dist, view.perms, (code,), view.lead)[0]
+    return view.to_fraction(minv), view.outcome(amin)
 
 
 @dataclass(frozen=True)
@@ -153,10 +137,10 @@ class EquilibriumSummary:
 
     def read(self, function: SocialTag, which: str) -> tuple[Fraction, Outcome]:
         """Value and first witness of the "optimal" outcome or of the set's "best" or "worst"."""
-        code = _FCODE[function]
+        code = social_code(function)
         minv, amin, maxv, amax = self.kept[code]
         value, witness = {"optimal": self.optimum[code], "best": (minv, amin), "worst": (maxv, amax)}[which]
-        return self.view.to_fraction(value), _decode(witness, self.view.n, self.view.m)
+        return self.view.to_fraction(value), self.view.outcome(witness)
 
     def ratio(self, function: SocialTag, worst: bool, measure: str) -> RatioReport:
         if self.count == 0:
@@ -193,7 +177,7 @@ def poa(
     budget: int = DEFAULT_OUTCOME_BUDGET,
 ) -> RatioReport:
     """Price of anarchy: worst Nash equilibrium value over the optimum."""
-    _require_tag(function)
+    social_code(function)
     return nash_summary(inst, budget).ratio(function, True, "PoA")
 
 
@@ -203,5 +187,5 @@ def pos(
     budget: int = DEFAULT_OUTCOME_BUDGET,
 ) -> RatioReport:
     """Price of stability: best Nash equilibrium value over the optimum."""
-    _require_tag(function)
+    social_code(function)
     return nash_summary(inst, budget).ratio(function, False, "PoS")

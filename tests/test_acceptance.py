@@ -31,8 +31,7 @@ def test_c02_four_line_sequential_vs_oracle():
     inst = tg.gen_four_line()
     spe = tg.spe_outcomes(inst)
     assert spe.contains((1, 1, 2, 1))
-    member = next(ev for ev in spe if ev.outcome == (1, 1, 2, 1))
-    assert member.costs == (F(5), F(4), F(2), F(1))
+    assert tg.cost_vector(inst, (1, 1, 2, 1)) == (F(5), F(4), F(2), F(1))
     optimal_value, _ = tg.optimal_social(inst, "E")
     assert optimal_value == 3
     report = tg.spoa(inst, "E")
@@ -49,16 +48,12 @@ def test_c03_spike_family_unbounded_ratios():
         inst = tg.gen_nonmetric_spike(x)
         assert not tg.check_metric(inst).is_metric
         spe = tg.spe_outcomes(inst)
-        assert {ev.costs for ev in spe} == {(F(x), F(0), F(0))}
+        assert {tg.cost_vector(inst, sigma) for sigma in spe} == {(F(x), F(0), F(0))}
         for tag in ("U", "E", "D"):
             assert tg.spos(inst, tag).ratio == x
         equilibria = tg.enumerate_nash(inst)
-        lonely = [
-            ev
-            for ev in equilibria
-            if ev.outcome[0] != ev.outcome[1] and ev.outcome[0] != ev.outcome[2]
-        ]
-        assert lonely and any(ev.cost_sum == x for ev in lonely)
+        lonely = [sigma for sigma in equilibria if sigma[0] != sigma[1] and sigma[0] != sigma[2]]
+        assert lonely and any(tg.player_cost_total(inst, sigma) == x for sigma in lonely)
         assert tg.poa(inst, "U").ratio == x  # grows without bound in x
     _passed(3, "spike family: forced costs, stability ratio x, unbounded anarchy")
 
@@ -67,9 +62,9 @@ def test_c04_star_reverse_spread_and_global_bound():
     for n in (2, 3, 4):
         inst = tg.gen_uniform_star(n, n, F(1, 8), "reverse")
         spe = tg.spe_outcomes(inst)
-        for ev in spe:
-            assert len(set(ev.outcome)) == n
-            assert ev.bus_total == n
+        for sigma in spe:
+            assert len(set(sigma)) == n
+            assert tg.bus_distance_total(inst, sigma) == n
         assert tg.spos(inst, "D").ratio == F(n) / (1 + F(n - 1, 8))
         best_d, _ = tg.optimal_social(inst, "D")
         for sigma in tg.enumerate_outcomes(inst):
@@ -92,11 +87,11 @@ def test_c06_group_levels_structure_and_ratio():
     inst = tg.gen_group_levels(1, 2, 10)
     layout = tg.group_level_layout(1, 2)
     spe = tg.spe_outcomes(inst)
-    for ev in spe:
+    for sigma in spe:
         for bus in (1, 2):
-            members = [layout[p - 1][0] for p in range(1, 5) if ev.outcome[p - 1] == bus]
+            members = [layout[p - 1][0] for p in range(1, 5) if sigma[p - 1] == bus]
             assert sorted(members) == ["L", "R"]
-        assert ev.worst_cost == 210
+        assert tg.worst_player_cost(inst, sigma) == 210
     assert tg.optimal_social(inst, "E")[0] == 101
     assert tg.spos(inst, "E").ratio == F(210, 101)
     _passed(6, "group levels: one L and one R per bus, ratio 210/101")
@@ -106,7 +101,7 @@ def test_c07_far_cluster_utilitarian():
     n, m, eps = 4, 2, F(1, 10)
     inst = tg.gen_zero_cluster_far(n, m, eps)
     spe = tg.spe_outcomes(inst)
-    assert set(spe.social_values("U")) == {F(6)}
+    assert {tg.player_cost_total(inst, sigma) for sigma in spe} == {F(6)}
     assert tg.optimal_social(inst, "U")[0] == F(21, 10)
     stability = tg.spos(inst, "U")
     assert stability.ratio == F(2 * n - m) / (m + F(m * (m - 1), 2) * eps)
@@ -116,8 +111,8 @@ def test_c07_far_cluster_utilitarian():
     assert simultaneous.ratio >= 1
     # every equilibrium respects the metric cost-sum guarantee
     best_u, _ = tg.optimal_social(inst, "U")
-    for ev in tg.enumerate_nash(inst):
-        assert ev.cost_sum <= (F(2 * n, m) + 1) * best_u
+    for sigma in tg.enumerate_nash(inst):
+        assert tg.player_cost_total(inst, sigma) <= (F(2 * n, m) + 1) * best_u
     _passed(7, "far cluster: SPE sum 2n-m, exact stability ratio 20/7")
 
 
@@ -144,8 +139,8 @@ def test_c09_equilibrium_sum_bound_on_random_metrics():
             continue
         best_u, _ = tg.optimal_social(inst, "U")
         bound = (F(2 * inst.n, inst.m) + 1) * best_u
-        for ev in equilibria:
-            assert ev.cost_sum <= bound
+        for sigma in equilibria:
+            assert tg.player_cost_total(inst, sigma) <= bound
         checked += 1
     _passed(9, "equilibrium sum bound (2n/m+1)*optimum on 200 random metric instances")
 

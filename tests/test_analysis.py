@@ -13,7 +13,6 @@ import transportgames as tg
 from transportgames.analysis import (
     eval_bound_expr,
     render_sweep,
-    report_from_dict,
     report_to_dict,
     run_verify_bounds,
     serialize_report,
@@ -69,8 +68,10 @@ class TestSerialization:
 
     def test_json_roundtrip_identical(self):
         report = tg.analyze(tg.gen_five_chain(), "simultaneous")
-        doc = json.loads(serialize_report(report, "json", include_timing=True))
-        assert report_from_dict(doc) == report
+        doc = json.loads(serialize_report(report, "json"))
+        assert doc == report_to_dict(report)
+        assert [F(block["worst_ratio"]) for block in doc["functions"]] == [b.worst_ratio for b in report.functions]
+        assert [tuple(block["best_witness"]) for block in doc["functions"]] == [b.best_witness for b in report.functions]
 
     def test_rationals_rendered_exactly(self):
         report = tg.analyze(tg.gen_zero_cluster_far(4, 2, F(1, 10)), "sequential", functions=("U",))
@@ -129,8 +130,9 @@ class TestBoundExpressions:
             ("min()", r"min\(\) takes at least one argument"),
             ("max()", r"max\(\) takes at least one argument"),
             ("1/", r"bound expression '1/' is not valid syntax"),
+            ("3**(10**5)", r"a power in bound expression '3\*\*\(10\*\*5\)' is too large"),
         ],
-        ids=["floor-two", "floor-none", "ceil-two", "min-none", "max-none", "syntax"],
+        ids=["floor-two", "floor-none", "ceil-two", "min-none", "max-none", "syntax", "huge-power"],
     )
     def test_malformed_expression_is_a_value_error(self, bad, message):
         with pytest.raises(ValueError, match=message):

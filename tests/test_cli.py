@@ -61,6 +61,16 @@ class TestValidate:
         assert result.output.startswith("invalid-json: not UTF-8 text")
         assert len(result.output.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_non_array_vertices(self, tmp_path, command):
+        doc = {"n": 1, "m": 2, "vertices": 5, "distances": [[0, 1], [1, 0]], "permutations": [[1], [1]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "bad-vertices: vertices must be an array of 1..1 and 't'\n"
+
 
 class TestGenerate:
     def test_writes_file(self, tmp_path):

@@ -3,6 +3,7 @@ and the instance file format."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -204,6 +205,14 @@ MALFORMED_DOCUMENTS = [
             ("permutation-count", "expected 2 pickup permutations, got 1"),
         ],
     ),
+    (
+        {"n": 1, "m": 2, "vertices": 5, "distances": [[0, 0], [0, 0]], "permutations": [[1], [1]]},
+        [("bad-vertices", "vertices must be an array of 1..1 and 't'")],
+    ),
+    (
+        {"n": 2, "m": 2, "vertices": [1, "t"], "distances": [[0] * 3] * 3, "permutations": [[1, 2], [2, 1]]},
+        [("bad-vertices", "vertices must be an array of 1..2 and 't'")],
+    ),
 ]
 
 
@@ -213,6 +222,20 @@ class TestViolationReports:
         with pytest.raises(tg.MalformedInstanceError) as exc:
             tg.loads_instance(json.dumps(doc))
         assert [(v.kind, v.message) for v in exc.value.violations] == expected
+
+    @pytest.mark.parametrize("vertices", [None, 5, [1, "t"]])
+    def test_memory_follows_the_data_not_the_declared_size(self, vertices):
+        doc = {"n": 10**6, "m": 2, "distances": [[0, 1], [1, 0]], "permutations": [[1], [1]]}
+        if vertices is not None:
+            doc["vertices"] = vertices
+        tracemalloc.start()
+        try:
+            with pytest.raises(tg.MalformedInstanceError):
+                tg.validate_instance(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     @pytest.mark.parametrize("declared", [True, False, None])
     def test_load_runs_one_metric_check(self, monkeypatch, declared):
@@ -431,11 +454,43 @@ class TestFileFormat:
 class TestEvaluations:
     def test_evaluate_outcome_consistent(self):
         inst = tg.gen_four_line()
-        ev = tg.evaluate_outcome(inst, (1, 1, 2, 1))
-        assert ev.costs == tg.cost_vector(inst, (1, 1, 2, 1))
-        assert ev.social("D") == tg.bus_distance_total(inst, (1, 1, 2, 1))
-        assert ev.social("E") == 5
-        assert ev.social("U") == 12
+        single = tg.evaluate_outcomes(inst, [(1, 1, 2, 1)])
+        assert single.outcomes == ((1, 1, 2, 1),)
+        for tag in tg.SOCIAL_TAGS:
+            value = tg.social_cost(inst, (1, 1, 2, 1), tag)
+            assert single.min_social(tag) == single.max_social(tag) == (value, (1, 1, 2, 1))
+        assert tg.social_cost(inst, (1, 1, 2, 1), "D") == tg.bus_distance_total(inst, (1, 1, 2, 1))
+        assert single.max_social("E")[0] == 5
+        assert single.max_social("U")[0] == 12
+
+    def test_outcome_set_contains_exactly_its_members(self):
+        inst = tg.gen_four_line()
+        spe = tg.spe_outcomes(inst)
+        members = set(spe)
+        assert (1, 1, 2, 1) in members
+        for sigma in tg.enumerate_outcomes(inst):
+            assert spe.contains(sigma) == (sigma in members)
+        # (1, 1, 1, 3) has the code of (1, 1, 2, 1); the others have the wrong length or a bad bus.
+        for bad in ((1, 1, 1, 3), (1, 1, 2), (1, 1, 2, 1, 1), (0, 1, 2, 1), ("1", 1, 2, 1)):
+            assert not spe.contains(bad)
+
+    def test_evaluate_outcomes_dedupes_sorts_and_checks(self):
+        inst = tg.gen_four_line()
+        group = tg.evaluate_outcomes(inst, [(2, 1, 1, 1), (1, 1, 2, 2), (2, 1, 1, 1)])
+        assert group.outcomes == ((1, 1, 2, 2), (2, 1, 1, 1))
+        assert list(group) == list(group.outcomes) and len(group) == 2
+        for bad in ((1, 1, 1, 3), (0, 1, 1, 1), (True, 1, 1, 1)):
+            with pytest.raises(tg.BusOutOfRangeError):
+                tg.evaluate_outcomes(inst, [(1, 1, 2, 2), bad])
+        with pytest.raises(ValueError, match="outcome has 3 entries"):
+            tg.evaluate_outcomes(inst, [(1, 1, 2)])
+
+    def test_empty_set_has_no_extremes(self):
+        for empty in (tg.enumerate_nash(NE_FREE), tg.evaluate_outcomes(tg.gen_four_line(), [])):
+            assert not empty and empty.outcomes == ()
+            for read in (empty.min_social, empty.max_social):
+                with pytest.raises(ValueError, match="empty outcome set"):
+                    read("U")
 
     def test_outcome_set_helpers(self):
         inst = tg.gen_four_line()

@@ -13,21 +13,24 @@ from support import random_instance
 
 class TestSpeOutcomes:
     def test_four_line_membership(self):
-        spe = tg.spe_outcomes(tg.gen_four_line())
+        inst = tg.gen_four_line()
+        spe = tg.spe_outcomes(inst)
         assert spe.contains((1, 1, 2, 1))
-        ev = next(e for e in spe if e.outcome == (1, 1, 2, 1))
-        assert ev.costs == (F(5), F(4), F(2), F(1))
+        assert (1, 1, 2, 1) in spe.outcomes
+        assert tg.cost_vector(inst, (1, 1, 2, 1)) == (F(5), F(4), F(2), F(1))
 
     def test_spike_costs_forced(self):
         for x in (10, 100):
-            spe = tg.spe_outcomes(tg.gen_nonmetric_spike(x))
-            assert {ev.costs for ev in spe} == {(F(x), F(0), F(0))}
+            inst = tg.gen_nonmetric_spike(x)
+            spe = tg.spe_outcomes(inst)
+            assert {tg.cost_vector(inst, sigma) for sigma in spe} == {(F(x), F(0), F(0))}
 
     def test_star_identity_pile_up(self):
-        spe = tg.spe_outcomes(tg.gen_uniform_star(3, 3, 2, "identity"))
+        inst = tg.gen_uniform_star(3, 3, 2, "identity")
+        spe = tg.spe_outcomes(inst)
         assert spe.contains((1, 1, 1))
-        ev = next(e for e in spe if e.outcome == (1, 1, 1))
-        assert ev.worst_cost == 5
+        assert (1, 1, 1) in spe.outcomes
+        assert tg.worst_player_cost(inst, (1, 1, 1)) == 5
 
     def test_never_empty(self):
         rng = random.Random(3)
@@ -149,9 +152,9 @@ class TestFamilyStructure:
     def test_star_reverse_distinct_buses(self, n):
         inst = tg.gen_uniform_star(n, n, F(1, 8), "reverse")
         spe = tg.spe_outcomes(inst)
-        for ev in spe:
-            assert len(set(ev.outcome)) == n
-            assert ev.bus_total == n
+        for sigma in spe:
+            assert len(set(sigma)) == n
+            assert tg.bus_distance_total(inst, sigma) == n
 
     @pytest.mark.parametrize("k,m,a", [(1, 2, 4), (1, 3, 10), (2, 2, 5)])
     def test_group_levels_one_per_group_per_bus(self, k, m, a):
@@ -160,19 +163,20 @@ class TestFamilyStructure:
         expected_worst = (2 * k - 1) * (F(a) ** 2 + a) + F(a) ** 2
         spe = tg.spe_outcomes(inst)
         assert len(spe) >= 1
-        for ev in spe:
+        for sigma in spe:
             for bus in range(1, m + 1):
-                members = [layout[p - 1] for p in range(1, inst.n + 1) if ev.outcome[p - 1] == bus]
+                members = [layout[p - 1] for p in range(1, inst.n + 1) if sigma[p - 1] == bus]
                 for group in ("L", "R"):
                     for level in range(1, k + 1):
                         assert members.count((group, level)) == 1
-            assert ev.worst_cost == expected_worst
+            assert tg.worst_player_cost(inst, sigma) == expected_worst
 
     @pytest.mark.parametrize("n,m,eps", [(3, 2, F(1, 7)), (4, 2, F(1, 10)), (5, 3, F(1, 9))])
     def test_far_cluster_costs(self, n, m, eps):
         inst = tg.gen_zero_cluster_far(n, m, eps)
         spe = tg.spe_outcomes(inst)
-        for ev in spe:
-            assert all(ev.costs[p - 1] == 1 for p in range(n - m + 1, n + 1))
-            assert all(ev.costs[p - 1] == 2 for p in range(1, n - m + 1))
-            assert ev.cost_sum == 2 * n - m
+        for sigma in spe:
+            costs = tg.cost_vector(inst, sigma)
+            assert all(costs[p - 1] == 1 for p in range(n - m + 1, n + 1))
+            assert all(costs[p - 1] == 2 for p in range(1, n - m + 1))
+            assert tg.player_cost_total(inst, sigma) == 2 * n - m

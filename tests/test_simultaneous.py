@@ -62,9 +62,9 @@ class TestEnumerateNash:
         assert found.contains((2, 1, 1, 2, 1))
 
     def test_spike_alone_player(self):
-        found = tg.enumerate_nash(tg.gen_nonmetric_spike(10))
-        lonely = [ev for ev in found if ev.outcome[0] not in (ev.outcome[1], ev.outcome[2])]
-        assert lonely and all(ev.cost_sum == 10 for ev in lonely)
+        inst = tg.gen_nonmetric_spike(10)
+        lonely = [sigma for sigma in tg.enumerate_nash(inst) if sigma[0] not in (sigma[1], sigma[2])]
+        assert lonely and all(tg.player_cost_total(inst, sigma) == 10 for sigma in lonely)
 
     def test_all_zero_all_equilibria(self):
         inst = all_zero(3, 2)

@@ -162,6 +162,48 @@ class TestSymmetryReduction:
         assert spe_summary(inst).optimum == full[2]
 
 
+class TestOutcomeSets:
+    """Set extremes come from the kernel's integer statistics; here they are
+    recomputed as the first min and max over `.outcomes` by `core.social_cost`."""
+
+    @staticmethod
+    def check_extremes(inst, found):
+        outcomes = found.outcomes
+        assert list(outcomes) == sorted(set(outcomes))
+        for tag in tg.SOCIAL_TAGS:
+            values = [tg.social_cost(inst, sigma, tag) for sigma in outcomes]
+            low, high = min(values), max(values)
+            assert found.min_social(tag) == (low, outcomes[values.index(low)])
+            assert found.max_social(tag) == (high, outcomes[values.index(high)])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_extremes_match_definitions(self, seed):
+        rng = random.Random(seed)
+        inst, small = tie_instance(rng), tie_instance(rng, max_n=3, max_m=2)  # small: oracle-sized
+        order, small_order = rng.sample(range(1, inst.n + 1), inst.n), rng.sample(range(1, small.n + 1), small.n)
+        nash = tg.enumerate_nash(inst)
+        assert nash.outcomes == tuple(nash_by_definition(inst))
+        if nash:
+            self.check_extremes(inst, nash)
+        self.check_extremes(inst, tg.spe_outcomes(inst, order))
+        self.check_extremes(small, tg.spe_oracle(small, small_order))
+
+    def test_extremes_on_ne_free(self):
+        assert not tg.enumerate_nash(NE_FREE)
+        self.check_extremes(NE_FREE, tg.spe_outcomes(NE_FREE))
+        self.check_extremes(NE_FREE, tg.spe_oracle(NE_FREE, (3, 1, 2)))
+
+    def test_seeds_hold_tied_extremes(self):
+        """Some set holds two outcomes at its max, so the witness rule is exercised."""
+        tied = 0
+        for seed in range(30):
+            inst = tie_instance(random.Random(seed))
+            found = tg.spe_outcomes(inst)
+            values = [tg.social_cost(inst, sigma, "E") for sigma in found]
+            tied += values.count(max(values)) > 1
+        assert tied >= 5
+
+
 # ---------------------------------------------------------------------------
 # Sweeps: rows built from per-point summaries equal rows recomputed per rule.
 # ---------------------------------------------------------------------------
