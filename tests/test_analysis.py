@@ -246,3 +246,432 @@ class TestSweeps:
         assert parsed["all_passed"] is True
         csv_lines = render_sweep(result, "csv").strip().splitlines()
         assert len(csv_lines) == 1 + len(result.rows)
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: the exact json/csv/table text of reports and sweeps.
+# ---------------------------------------------------------------------------
+
+ZERO_DISTANCES = tg.Instance(2, 2, tuple(tuple(F(0) for _ in range(3)) for _ in range(3)), ((1, 2), (1, 2)))
+
+# One row of each kind: pass, FAIL, `between`, a bound error, and a point the family rejects.
+GOLDEN_SWEEP = {
+    "family": "uniform-star",
+    "points": [{"n": 2, "m": 2, "epsilon": "1/2"}, {"n": 3, "m": 2, "epsilon": 0}],
+    "bounds": [
+        {"function": "E", "measure": "spoa", "relation": "ge", "expected": "1"},
+        {"function": "U", "measure": "poa", "relation": "eq", "expected": "2*n"},
+        {"function": "U", "measure": "pos", "relation": "between", "lower": "1", "upper": "n"},
+        {"function": "D", "measure": "spos", "relation": "le", "expected": "1/(m-m)"},
+    ],
+}
+
+SIMULTANEOUS_JSON = """\
+{
+  "digest": "8feeb01e0083ee7a845338c19380e66d9e40aedcc483215f97dc4fecbab02b2a",
+  "mode": "simultaneous",
+  "order": null,
+  "functions": [
+    {
+      "function": "E",
+      "optimal_value": "8",
+      "optimal_witness": [
+        1,
+        2,
+        1,
+        1,
+        2
+      ],
+      "equilibrium_count": 6,
+      "min_equilibrium_value": "8",
+      "max_equilibrium_value": "8",
+      "best_ratio": "1",
+      "worst_ratio": "1",
+      "best_witness": [
+        1,
+        2,
+        1,
+        1,
+        2
+      ],
+      "worst_witness": [
+        1,
+        2,
+        1,
+        1,
+        2
+      ],
+      "errors": []
+    },
+    {
+      "function": "U",
+      "optimal_value": "23",
+      "optimal_witness": [
+        1,
+        2,
+        1,
+        1,
+        2
+      ],
+      "equilibrium_count": 6,
+      "min_equilibrium_value": "23",
+      "max_equilibrium_value": "27",
+      "best_ratio": "1",
+      "worst_ratio": "27/23",
+      "best_witness": [
+        1,
+        2,
+        1,
+        1,
+        2
+      ],
+      "worst_witness": [
+        1,
+        2,
+        1,
+        2,
+        1
+      ],
+      "errors": []
+    }
+  ]
+}
+"""
+
+SIMULTANEOUS_CSV = """\
+function,measure,ratio,equilibrium_value,optimal_value,witness,errors
+E,PoA,1,8,8,1 2 1 1 2,
+E,PoS,1,8,8,1 2 1 1 2,
+U,PoA,27/23,27,23,1 2 1 2 1,
+U,PoS,1,23,23,1 2 1 1 2,
+"""
+
+SIMULTANEOUS_TABLE = """\
+instance 8feeb01e0083  mode=simultaneous
+function  measure  ratio  equilibrium  optimal  errors
+--------  -------  -----  -----------  -------  ------
+E         PoA      1      8            8        —
+E         PoS      1      8            8        —
+U         PoA      27/23  27           23       —
+U         PoS      1      23           23       —
+"""
+
+SEQUENTIAL_JSON = """\
+{
+  "digest": "4a37f1f8def30fb90b78493803e8d9ba49edc83078a0dd71e797256f968112dc",
+  "mode": "sequential",
+  "order": [
+    2,
+    1,
+    4,
+    3
+  ],
+  "functions": [
+    {
+      "function": "U",
+      "optimal_value": "10",
+      "optimal_witness": [
+        1,
+        1,
+        2,
+        2
+      ],
+      "equilibrium_count": 12,
+      "min_equilibrium_value": "10",
+      "max_equilibrium_value": "12",
+      "best_ratio": "1",
+      "worst_ratio": "6/5",
+      "best_witness": [
+        1,
+        1,
+        2,
+        2
+      ],
+      "worst_witness": [
+        1,
+        1,
+        2,
+        1
+      ],
+      "errors": []
+    }
+  ]
+}
+"""
+
+SEQUENTIAL_CSV = """\
+function,measure,ratio,equilibrium_value,optimal_value,witness,errors
+U,SPoA,6/5,12,10,1 1 2 1,
+U,SPoS,1,10,10,1 1 2 2,
+"""
+
+SEQUENTIAL_TABLE = """\
+instance 4a37f1f8def3  mode=sequential
+function  measure  ratio  equilibrium  optimal  errors
+--------  -------  -----  -----------  -------  ------
+U         SPoA     6/5    12           10       —
+U         SPoS     1      10           10       —
+"""
+
+NO_EQUILIBRIUM_JSON = """\
+{
+  "digest": "af3e327e252c9b2536d5759220d34f719726887db15998565c39402ae43ef509",
+  "mode": "simultaneous",
+  "order": null,
+  "functions": [
+    {
+      "function": "U",
+      "optimal_value": "3",
+      "optimal_witness": [
+        1,
+        1,
+        2
+      ],
+      "equilibrium_count": 0,
+      "min_equilibrium_value": null,
+      "max_equilibrium_value": null,
+      "best_ratio": null,
+      "worst_ratio": null,
+      "best_witness": null,
+      "worst_witness": null,
+      "errors": [
+        "NoEquilibrium"
+      ]
+    }
+  ]
+}
+"""
+
+NO_EQUILIBRIUM_CSV = """\
+function,measure,ratio,equilibrium_value,optimal_value,witness,errors
+U,PoA,,,3,,NoEquilibrium
+U,PoS,,,3,,NoEquilibrium
+"""
+
+NO_EQUILIBRIUM_TABLE = """\
+instance af3e327e252c  mode=simultaneous
+function  measure  ratio  equilibrium  optimal  errors
+--------  -------  -----  -----------  -------  -------------
+U         PoA      —      —            3        NoEquilibrium
+U         PoS      —      —            3        NoEquilibrium
+"""
+
+DEGENERATE_JSON = """\
+{
+  "digest": "5dd411f517be1fd061c24a194ac5a894eb0f313c0499e28e5ec707f82419e043",
+  "mode": "simultaneous",
+  "order": null,
+  "functions": [
+    {
+      "function": "D",
+      "optimal_value": "0",
+      "optimal_witness": [
+        1,
+        1
+      ],
+      "equilibrium_count": 4,
+      "min_equilibrium_value": "0",
+      "max_equilibrium_value": "0",
+      "best_ratio": null,
+      "worst_ratio": null,
+      "best_witness": [
+        1,
+        1
+      ],
+      "worst_witness": [
+        1,
+        1
+      ],
+      "errors": [
+        "DegenerateOptimum"
+      ]
+    }
+  ]
+}
+"""
+
+DEGENERATE_CSV = """\
+function,measure,ratio,equilibrium_value,optimal_value,witness,errors
+D,PoA,,0,0,1 1,DegenerateOptimum
+D,PoS,,0,0,1 1,DegenerateOptimum
+"""
+
+DEGENERATE_TABLE = """\
+instance 5dd411f517be  mode=simultaneous
+function  measure  ratio  equilibrium  optimal  errors
+--------  -------  -----  -----------  -------  -----------------
+D         PoA      —      0            0        DegenerateOptimum
+D         PoS      —      0            0        DegenerateOptimum
+"""
+
+SWEEP_JSON = """\
+{
+  "family": "uniform-star",
+  "all_passed": false,
+  "rows": [
+    {
+      "params": {
+        "epsilon": "1/2",
+        "m": 2,
+        "n": 2
+      },
+      "function": "E",
+      "measure": "spoa",
+      "measured": "3/2",
+      "expected": ">= 1",
+      "passed": true,
+      "error": null
+    },
+    {
+      "params": {
+        "epsilon": "1/2",
+        "m": 2,
+        "n": 2
+      },
+      "function": "U",
+      "measure": "poa",
+      "measured": "1",
+      "expected": "= 2*n",
+      "passed": false,
+      "error": null
+    },
+    {
+      "params": {
+        "epsilon": "1/2",
+        "m": 2,
+        "n": 2
+      },
+      "function": "U",
+      "measure": "pos",
+      "measured": "1",
+      "expected": "in [1, n]",
+      "passed": true,
+      "error": null
+    },
+    {
+      "params": {
+        "epsilon": "1/2",
+        "m": 2,
+        "n": 2
+      },
+      "function": "D",
+      "measure": "spos",
+      "measured": "1",
+      "expected": "<= 1/(m-m)",
+      "passed": null,
+      "error": "ValueError: bound expression '1/(m-m)' divides by zero"
+    },
+    {
+      "params": {
+        "epsilon": 0,
+        "m": 2,
+        "n": 3
+      },
+      "function": "E",
+      "measure": "spoa",
+      "measured": null,
+      "expected": ">= 1",
+      "passed": null,
+      "error": "epsilon must be > 0, got 0"
+    },
+    {
+      "params": {
+        "epsilon": 0,
+        "m": 2,
+        "n": 3
+      },
+      "function": "U",
+      "measure": "poa",
+      "measured": null,
+      "expected": "= 2*n",
+      "passed": null,
+      "error": "epsilon must be > 0, got 0"
+    },
+    {
+      "params": {
+        "epsilon": 0,
+        "m": 2,
+        "n": 3
+      },
+      "function": "U",
+      "measure": "pos",
+      "measured": null,
+      "expected": "in [1, n]",
+      "passed": null,
+      "error": "epsilon must be > 0, got 0"
+    },
+    {
+      "params": {
+        "epsilon": 0,
+        "m": 2,
+        "n": 3
+      },
+      "function": "D",
+      "measure": "spos",
+      "measured": null,
+      "expected": "<= 1/(m-m)",
+      "passed": null,
+      "error": "epsilon must be > 0, got 0"
+    }
+  ]
+}
+"""
+
+SWEEP_CSV = """\
+params,function,measure,measured,expected,passed,error
+epsilon=1/2 m=2 n=2,E,spoa,3/2,>= 1,true,
+epsilon=1/2 m=2 n=2,U,poa,1,= 2*n,false,
+epsilon=1/2 m=2 n=2,U,pos,1,"in [1, n]",true,
+epsilon=1/2 m=2 n=2,D,spos,1,<= 1/(m-m),,ValueError: bound expression '1/(m-m)' divides by zero
+epsilon=0 m=2 n=3,E,spoa,,>= 1,,"epsilon must be > 0, got 0"
+epsilon=0 m=2 n=3,U,poa,,= 2*n,,"epsilon must be > 0, got 0"
+epsilon=0 m=2 n=3,U,pos,,"in [1, n]",,"epsilon must be > 0, got 0"
+epsilon=0 m=2 n=3,D,spos,,<= 1/(m-m),,"epsilon must be > 0, got 0"
+"""
+
+SWEEP_TABLE = """\
+family uniform-star
+params               function  measure  measured  expected    status
+-------------------  --------  -------  --------  ----------  -------------------------------------------------------------
+epsilon=1/2 m=2 n=2  E         spoa     3/2       >= 1        pass
+epsilon=1/2 m=2 n=2  U         poa      1         = 2*n       FAIL
+epsilon=1/2 m=2 n=2  U         pos      1         in [1, n]   pass
+epsilon=1/2 m=2 n=2  D         spos     1         <= 1/(m-m)  error: ValueError: bound expression '1/(m-m)' divides by zero
+epsilon=0 m=2 n=3    E         spoa     —         >= 1        error: epsilon must be > 0, got 0
+epsilon=0 m=2 n=3    U         poa      —         = 2*n       error: epsilon must be > 0, got 0
+epsilon=0 m=2 n=3    U         pos      —         in [1, n]   error: epsilon must be > 0, got 0
+epsilon=0 m=2 n=3    D         spos     —         <= 1/(m-m)  error: epsilon must be > 0, got 0
+"""
+
+GOLDEN_REPORTS = {
+    "simultaneous": (
+        lambda: tg.analyze(tg.gen_five_chain(), "simultaneous", functions=("E", "U")),
+        {"json": SIMULTANEOUS_JSON, "csv": SIMULTANEOUS_CSV, "table": SIMULTANEOUS_TABLE},
+    ),
+    "sequential": (
+        lambda: tg.analyze(tg.gen_four_line(), "sequential", functions=("U",), order=(2, 1, 4, 3)),
+        {"json": SEQUENTIAL_JSON, "csv": SEQUENTIAL_CSV, "table": SEQUENTIAL_TABLE},
+    ),
+    "no-equilibrium": (
+        lambda: tg.analyze(NE_FREE, "simultaneous", functions=("U",)),
+        {"json": NO_EQUILIBRIUM_JSON, "csv": NO_EQUILIBRIUM_CSV, "table": NO_EQUILIBRIUM_TABLE},
+    ),
+    "degenerate": (
+        lambda: tg.analyze(ZERO_DISTANCES, "simultaneous", functions=("D",)),
+        {"json": DEGENERATE_JSON, "csv": DEGENERATE_CSV, "table": DEGENERATE_TABLE},
+    ),
+}
+GOLDEN_SWEEP_TEXT = {"json": SWEEP_JSON, "csv": SWEEP_CSV, "table": SWEEP_TABLE}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+    def test_report(self, name, fmt):
+        build, expected = GOLDEN_REPORTS[name]
+        assert serialize_report(build(), fmt) == expected[fmt]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_sweep(self, fmt):
+        result = run_verify_bounds(sweep_from_dict(GOLDEN_SWEEP))
+        assert render_sweep(result, fmt) == GOLDEN_SWEEP_TEXT[fmt]
