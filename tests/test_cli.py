@@ -254,3 +254,50 @@ class TestVerifyBounds:
     def test_missing_spec_file(self):
         result = runner.invoke(main, ["verify-bounds", "--spec", "/no/such/sweep.json"])
         assert result.exit_code == 3
+
+
+ANALYZE_HELP = """\
+Usage: main analyze [OPTIONS] FILE
+
+  Compute equilibria, optima, and inefficiency ratios for an instance.
+
+Options:
+  --mode [simultaneous|sequential]
+                                  [default: simultaneous]
+  --social TEXT                   Comma-separated social functions to analyze.
+                                  [default: D,E,U]
+  --order TEXT                    Move order for sequential mode, e.g. 1,3,2.
+  --format [json|csv|table]       [default: table]
+  --budget-outcomes INTEGER       Cap on m^n.  [default: 10000000]
+  --budget-node-set INTEGER       Per-node result-set cap.  [default: 1000000]
+  --help                          Show this message and exit.
+"""
+
+VERIFY_BOUNDS_HELP = """\
+Usage: main verify-bounds [OPTIONS]
+
+  Measure inefficiency ratios over a parameter grid and check closed-form
+  bounds.
+
+  Exits 0 only when every row passes; per-point errors are recorded in the
+  output and count as failures.
+
+Options:
+  --spec FILE                Sweep spec JSON file.  [required]
+  --format [json|csv|table]  [default: table]
+  --budget-outcomes INTEGER  [default: 10000000]
+  --budget-node-set INTEGER  [default: 1000000]
+  --help                     Show this message and exit.
+"""
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("analyze", ANALYZE_HELP), ("verify-bounds", VERIFY_BOUNDS_HELP)],
+        ids=["analyze", "verify-bounds"],
+    )
+    def test_help_text_and_budget_defaults(self, command, expected):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert result.output == expected
