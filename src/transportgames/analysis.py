@@ -12,7 +12,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -126,43 +127,36 @@ def _function_report(summary: EquilibriumSummary, tag: SocialTag) -> FunctionRep
     )
 
 
-def _frac_str(value: Fraction | None) -> str | None:
-    return None if value is None else str(value)
-
-
-def _outcome_list(outcome: Outcome | None) -> list[int] | None:
-    return None if outcome is None else list(outcome)
+def _json(value):
+    """JSON form of a report value: a record maps its field names to their values
+    in field order, a `Fraction` becomes a string and a tuple a list."""
+    if is_dataclass(value):
+        return {field.name: _json(getattr(value, field.name)) for field in fields(value)}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    return value
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        "digest": report.digest,
-        "mode": report.mode,
-        "order": list(report.order) if report.order is not None else None,
-        "functions": [
-            {
-                "function": block.function,
-                "optimal_value": _frac_str(block.optimal_value),
-                "optimal_witness": _outcome_list(block.optimal_witness),
-                "equilibrium_count": block.equilibrium_count,
-                "min_equilibrium_value": _frac_str(block.min_equilibrium_value),
-                "max_equilibrium_value": _frac_str(block.max_equilibrium_value),
-                "best_ratio": _frac_str(block.best_ratio),
-                "worst_ratio": _frac_str(block.worst_ratio),
-                "best_witness": _outcome_list(block.best_witness),
-                "worst_witness": _outcome_list(block.worst_witness),
-                "errors": list(block.errors),
-            }
-            for block in report.functions
-        ],
-    }
+    return _json(report)
 
 
-def _measure_rows(report: AnalysisReport):
+def _cell(value: Fraction | None, missing: str) -> str:
+    return missing if value is None else str(value)
+
+
+def _measure_rows(report: AnalysisReport, missing: str):
+    """Per (function, measure): the cells every format shows, then the witness and errors."""
     worst_name, best_name = MEASURE_NAMES[report.mode]
-    for block in report.functions:
-        yield block, worst_name, block.worst_ratio, block.max_equilibrium_value, block.worst_witness
-        yield block, best_name, block.best_ratio, block.min_equilibrium_value, block.best_witness
+    for b in report.functions:
+        for name, ratio, value, witness in (
+            (worst_name, b.worst_ratio, b.max_equilibrium_value, b.worst_witness),
+            (best_name, b.best_ratio, b.min_equilibrium_value, b.best_witness),
+        ):
+            cells = [b.function, name, _cell(ratio, missing), _cell(value, missing), str(b.optimal_value)]
+            yield cells, witness, b.errors
 
 
 def _csv(rows: list[list[str]]) -> str:
@@ -184,34 +178,16 @@ def serialize_report(report: AnalysisReport, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(report_to_dict(report), indent=2) + "\n"
     if fmt == "csv":
-        rows = [["function", "measure", "ratio", "equilibrium_value", "optimal_value", "witness", "errors"]]
-        for block, measure, ratio, eq_value, witness in _measure_rows(report):
-            rows.append(
-                [
-                    block.function,
-                    measure,
-                    _frac_str(ratio) or "",
-                    _frac_str(eq_value) or "",
-                    _frac_str(block.optimal_value),
-                    " ".join(map(str, witness)) if witness is not None else "",
-                    "|".join(block.errors),
-                ]
-            )
-        return _csv(rows)
+        header = ["function", "measure", "ratio", "equilibrium_value", "optimal_value", "witness", "errors"]
+        rows = [
+            cells + [" ".join(map(str, witness or ())), "|".join(errors)]
+            for cells, witness, errors in _measure_rows(report, "")
+        ]
+        return _csv([header, *rows])
     if fmt == "table":
-        rows = [["function", "measure", "ratio", "equilibrium", "optimal", "errors"]]
-        for block, measure, ratio, eq_value, _witness in _measure_rows(report):
-            rows.append(
-                [
-                    block.function,
-                    measure,
-                    _frac_str(ratio) or MISSING,
-                    _frac_str(eq_value) or MISSING,
-                    _frac_str(block.optimal_value),
-                    ", ".join(block.errors) or MISSING,
-                ]
-            )
-        return _table(f"instance {report.digest[:12]}  mode={report.mode}", rows)
+        header = ["function", "measure", "ratio", "equilibrium", "optimal", "errors"]
+        rows = [cells + [", ".join(errors) or MISSING] for cells, _, errors in _measure_rows(report, MISSING)]
+        return _table(f"instance {report.digest[:12]}  mode={report.mode}", [header, *rows])
     raise ValueError(f"unknown format {fmt!r}, expected json, csv, or table")
 
 
@@ -305,7 +281,9 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 SWEEP_MEASURES = ("poa", "pos", "spoa", "spos")
-RELATIONS = ("eq", "ge", "le", "between")
+# Relation -> (its symbol in a row's expected text, its test of measured against expected).
+_COMPARISONS = {"eq": ("=", operator.eq), "ge": (">=", operator.ge), "le": ("<=", operator.le)}
+RELATIONS = (*_COMPARISONS, "between")
 
 
 @dataclass(frozen=True)
@@ -322,8 +300,7 @@ class BoundRule:
     def describe(self) -> str:
         if self.relation == "between":
             return f"in [{self.lower}, {self.upper}]"
-        symbol = {"eq": "=", "ge": ">=", "le": "<="}[self.relation]
-        return f"{symbol} {self.expected}"
+        return f"{_COMPARISONS[self.relation][0]} {self.expected}"
 
 
 @dataclass(frozen=True)
@@ -469,69 +446,39 @@ def run_verify_bounds(
                     high = eval_bound_expr(rule.upper, env)
                     passed = low <= measured <= high
                 else:
-                    expected = eval_bound_expr(rule.expected, env)
-                    if rule.relation == "eq":
-                        passed = measured == expected
-                    elif rule.relation == "ge":
-                        passed = measured >= expected
-                    else:
-                        passed = measured <= expected
+                    passed = _COMPARISONS[rule.relation][1](measured, eval_bound_expr(rule.expected, env))
             except _ROW_ERRORS as exc:
                 error = f"{type(exc).__name__}: {exc}"
             rows.append(SweepRow(point_items, rule.function, rule.measure, measured, rule.describe(), passed, error))
     return SweepResult(spec.family, tuple(rows))
 
 
+def _sweep_rows(result: SweepResult, missing: str):
+    """Per row: the cells every format shows, then the row itself."""
+    for row in result.rows:
+        params = " ".join(f"{k}={v}" for k, v in row.params)
+        yield [params, row.function, row.measure, _cell(row.measured, missing), row.expected], row
+
+
+def _status(row: SweepRow) -> str:
+    if row.error is not None:
+        return f"error: {row.error}"
+    return "pass" if row.passed else "FAIL"
+
+
 def render_sweep(result: SweepResult, fmt: str = "table") -> str:
     if fmt == "json":
-        doc = {
-            "family": result.family,
-            "all_passed": result.all_passed,
-            "rows": [
-                {
-                    "params": {k: v for k, v in row.params},
-                    "function": row.function,
-                    "measure": row.measure,
-                    "measured": _frac_str(row.measured),
-                    "expected": row.expected,
-                    "passed": row.passed,
-                    "error": row.error,
-                }
-                for row in result.rows
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        rows = [{**_json(row), "params": dict(row.params)} for row in result.rows]
+        return json.dumps({"family": result.family, "all_passed": result.all_passed, "rows": rows}, indent=2) + "\n"
     if fmt == "csv":
-        rows = [["params", "function", "measure", "measured", "expected", "passed", "error"]]
-        for row in result.rows:
-            rows.append(
-                [
-                    " ".join(f"{k}={v}" for k, v in row.params),
-                    row.function,
-                    row.measure,
-                    _frac_str(row.measured) or "",
-                    row.expected,
-                    "" if row.passed is None else str(row.passed).lower(),
-                    row.error or "",
-                ]
-            )
-        return _csv(rows)
+        header = ["params", "function", "measure", "measured", "expected", "passed", "error"]
+        rows = [
+            cells + ["" if row.passed is None else str(row.passed).lower(), row.error or ""]
+            for cells, row in _sweep_rows(result, "")
+        ]
+        return _csv([header, *rows])
     if fmt == "table":
-        rows = [["params", "function", "measure", "measured", "expected", "status"]]
-        for row in result.rows:
-            if row.error is not None:
-                status = f"error: {row.error}"
-            else:
-                status = "pass" if row.passed else "FAIL"
-            rows.append(
-                [
-                    " ".join(f"{k}={v}" for k, v in row.params),
-                    row.function,
-                    row.measure,
-                    _frac_str(row.measured) or MISSING,
-                    row.expected,
-                    status,
-                ]
-            )
-        return _table(f"family {result.family}", rows)
+        header = ["params", "function", "measure", "measured", "expected", "status"]
+        rows = [cells + [_status(row)] for cells, row in _sweep_rows(result, MISSING)]
+        return _table(f"family {result.family}", [header, *rows])
     raise ValueError(f"unknown format {fmt!r}, expected json, csv, or table")
