@@ -38,7 +38,7 @@ from .families import build_family
 
 # enumerate_nash, optimal_social, poa, pos, spe_outcomes, spoa and spos are
 # not used here; perfbench/tracing.py wraps them at these names.
-from .sequential import DEFAULT_NODE_SET_CAP, spe_outcomes, spe_summary, spoa, spos
+from .sequential import DEFAULT_NODE_SET_CAP, _resolve_order, spe_outcomes, spe_summary, spoa, spos
 from .simultaneous import (
     DEFAULT_OUTCOME_BUDGET,
     EquilibriumSummary,
@@ -104,8 +104,8 @@ def analyze(
         summary = nash_summary(inst, budget=budget)
         resolved_order = None
     else:
-        summary = spe_summary(inst, order=order, budget=budget, node_set_cap=node_set_cap)
-        resolved_order = tuple(order) if order is not None else tuple(range(1, inst.n + 1))
+        resolved_order = _resolve_order(inst, order)
+        summary = spe_summary(inst, order=resolved_order, budget=budget, node_set_cap=node_set_cap)
 
     blocks = tuple(_function_report(summary, tag) for tag in functions)
     return AnalysisReport(digest=instance_digest(inst), mode=mode, order=resolved_order, functions=blocks)
@@ -281,6 +281,8 @@ def eval_bound_expr(expr: str, env: Mapping[str, Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 SWEEP_MEASURES = ("poa", "pos", "spoa", "spos")
+# Most points a spec may ask for, counted before the grid is expanded.
+MAX_SWEEP_POINTS = 100_000
 # Relation -> (its symbol in a row's expected text, its test of measured against expected).
 _COMPARISONS = {"eq": ("=", operator.eq), "ge": (">=", operator.ge), "le": ("<=", operator.le)}
 RELATIONS = (*_COMPARISONS, "between")
@@ -332,6 +334,9 @@ def sweep_from_dict(doc: object) -> SweepSpec:
         for name, values in grid.items():
             if not isinstance(values, list):
                 raise ValueError(f"sweep spec field 'grid.{name}' must be a list of values")
+        total = len(points) + math.prod(len(values) for values in grid.values())
+        if total > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep spec field 'grid' gives {total} points, more than the {MAX_SWEEP_POINTS} allowed")
         names = sorted(grid)
         for combo in product(*(grid[name] for name in names)):
             points.append(dict(zip(names, combo)))

@@ -14,6 +14,8 @@ from pathlib import Path
 import click
 
 from .analysis import analyze, load_sweep, render_sweep, run_verify_bounds, serialize_report
+from .sequential import DEFAULT_NODE_SET_CAP
+from .simultaneous import DEFAULT_OUTCOME_BUDGET
 from .core import dumps_instance, loads_instance, save_instance, to_fraction
 from .errors import (
     BudgetExceededError,
@@ -138,8 +140,10 @@ def _parse_order(order: str | None) -> tuple[int, ...] | None:
 @click.option("--social", default="D,E,U", show_default=True, help="Comma-separated social functions to analyze.")
 @click.option("--order", default=None, help="Move order for sequential mode, e.g. 1,3,2.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="table", show_default=True)
-@click.option("--budget-outcomes", type=int, default=10**7, show_default=True, help="Cap on m^n.")
-@click.option("--budget-node-set", type=int, default=10**6, show_default=True, help="Per-node result-set cap.")
+@click.option("--budget-outcomes", type=int, default=DEFAULT_OUTCOME_BUDGET, show_default=True, help="Cap on m^n.")
+@click.option(
+    "--budget-node-set", type=int, default=DEFAULT_NODE_SET_CAP, show_default=True, help="Per-node result-set cap."
+)
 def analyze_cmd(
     file: str,
     mode: str,
@@ -178,8 +182,8 @@ def analyze_cmd(
 @main.command("verify-bounds")
 @click.option("--spec", "spec_path", required=True, type=click.Path(dir_okay=False), help="Sweep spec JSON file.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]), default="table", show_default=True)
-@click.option("--budget-outcomes", type=int, default=10**7, show_default=True)
-@click.option("--budget-node-set", type=int, default=10**6, show_default=True)
+@click.option("--budget-outcomes", type=int, default=DEFAULT_OUTCOME_BUDGET, show_default=True)
+@click.option("--budget-node-set", type=int, default=DEFAULT_NODE_SET_CAP, show_default=True)
 def verify_bounds_cmd(spec_path: str, fmt: str, budget_outcomes: int, budget_node_set: int):
     """Measure inefficiency ratios over a parameter grid and check closed-form bounds.
 

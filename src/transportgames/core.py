@@ -157,7 +157,9 @@ def instance_violations(
         out.append(Violation("permutation-count", f"expected {m} pickup permutations, got {len(perms)}"))
     for j, perm in enumerate(perms, start=1):
         # Compared with 1..n only at length n, so memory follows the data, not the declared n.
-        if len(perm) != n or set(perm) != set(range(1, n + 1)):
+        # Entries must be ints: a float or bool equal to an index would pass the set test.
+        ints = all(isinstance(p, int) and not isinstance(p, bool) for p in perm)
+        if len(perm) != n or not ints or set(perm) != set(range(1, n + 1)):
             out.append(
                 Violation("not-a-permutation", f"permutation of bus {j} is not a bijection on 1..{n}: {tuple(perm)}")
             )
@@ -193,7 +195,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         dist = tuple(tuple(to_fraction(x) for x in row) for row in self.dist)
-        perms = tuple(tuple(int(p) for p in perm) for perm in self.perms)
+        perms = tuple(tuple(perm) for perm in self.perms)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "perms", perms)
         violations = instance_violations(self.n, self.m, dist, perms, self.declared_metric)

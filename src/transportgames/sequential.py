@@ -45,8 +45,9 @@ MoveOrder = tuple[int, ...]
 def _resolve_order(inst: Instance, order: Sequence[int] | None) -> MoveOrder:
     if order is None:
         return tuple(range(1, inst.n + 1))
-    resolved = tuple(int(p) for p in order)
-    if sorted(resolved) != list(range(1, inst.n + 1)):
+    resolved = tuple(order)
+    ints = all(isinstance(p, int) and not isinstance(p, bool) for p in resolved)
+    if not ints or sorted(resolved) != list(range(1, inst.n + 1)):
         raise ValueError(f"move order must be a permutation of players 1..{inst.n}, got {resolved}")
     return resolved
 

@@ -40,6 +40,11 @@ class TestAnalyze:
         assert block.best_ratio == tg.spos(tg.gen_four_line(), "E").ratio
         assert report.order == (1, 2, 3, 4)
 
+    def test_sequential_reports_the_order_it_ran(self):
+        report = tg.analyze(tg.gen_four_line(), "sequential", functions=("U",), order=[2, 1, 4, 3])
+        assert report.order == (2, 1, 4, 3)
+        assert report.functions[0].worst_ratio == tg.spoa(tg.gen_four_line(), "U", order=(2, 1, 4, 3)).ratio
+
     def test_no_equilibrium_recorded_not_raised(self):
         report = tg.analyze(NE_FREE, "simultaneous", functions=("U",))
         block = report.functions[0]
@@ -162,6 +167,17 @@ class TestSweeps:
             }
         )
         assert len(spec.points) == 2
+
+    def test_grid_over_the_point_cap_rejected(self):
+        # One explicit point plus a 400 x 250 grid is one point over the cap of 100,000.
+        doc = {
+            "family": "four-line",
+            "points": [{}],
+            "grid": {"a": list(range(400)), "b": list(range(250))},
+            "bounds": [POA_GE_1],
+        }
+        with pytest.raises(ValueError, match="'grid' gives 100001 points, more than the 100000 allowed"):
+            sweep_from_dict(doc)
 
     def test_failing_bound_reported(self):
         spec = sweep_from_dict(

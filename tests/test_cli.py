@@ -240,8 +240,12 @@ class TestVerifyBounds:
                 },
                 "needs 'expected' as an expression string",
             ),
+            (
+                {"family": "four-line", "grid": {"a": list(range(400)), "b": list(range(251))}},
+                "'grid' gives 100400 points",
+            ),
         ],
-        ids=["array", "grid-int", "expected-number"],
+        ids=["array", "grid-int", "expected-number", "grid-too-large"],
     )
     def test_malformed_spec_is_an_error(self, tmp_path, spec, message):
         path = tmp_path / "sweep.json"

@@ -68,6 +68,14 @@ class TestValidation:
             tg.Instance(3, 2, tuple(tuple(F(0) for _ in range(4)) for _ in range(4)), ((1, 1, 2), (1, 2, 3)))
         assert "not-a-permutation" in violation_kinds(exc)
 
+    @pytest.mark.parametrize("entry", [1.7, True], ids=["float", "bool"])
+    def test_non_int_pickup_entry_rejected(self, entry):
+        with pytest.raises(tg.MalformedInstanceError) as exc:
+            tg.Instance(1, 2, ((0, 1), (1, 0)), ((entry,), (1,)))
+        assert [(v.kind, v.message) for v in exc.value.violations] == [
+            ("not-a-permutation", f"permutation of bus 1 is not a bijection on 1..1: ({entry!r},)")
+        ]
+
     def test_dimension_mismatch(self):
         with pytest.raises(tg.MalformedInstanceError) as exc:
             tg.Instance(2, 2, ((0, 0), (0, 0)), ((1, 2), (2, 1)))

@@ -2,6 +2,7 @@
 oracle, and the sequential ratios."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -52,6 +53,18 @@ class TestSpeOutcomes:
             tg.spe_outcomes(tg.gen_four_line(), order=(1, 2, 3))
         with pytest.raises(ValueError):
             tg.spe_outcomes(tg.gen_four_line(), order=(1, 1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "order", [(1.9, 2.5, 3.1, 4.0), (1.0, 2, 3, 4), (True, 2, 3, 4)], ids=["floats", "float", "bool"]
+    )
+    def test_non_int_order_rejected(self, order):
+        message = rf"move order must be a permutation of players 1..4, got {re.escape(repr(order))}"
+        with pytest.raises(ValueError, match=message):
+            tg.spe_outcomes(tg.gen_four_line(), order=order)
+        with pytest.raises(ValueError, match=message):
+            tg.zermelo_outcome(tg.gen_four_line(), order=order)
+        with pytest.raises(ValueError, match=message):
+            tg.analyze(tg.gen_four_line(), "sequential", order=order)
 
 
 class TestZermelo:
