@@ -150,13 +150,13 @@ def _cell(value: Fraction | None, missing: str) -> str:
 def _measure_rows(report: AnalysisReport, missing: str):
     """Per (function, measure): the cells every format shows, then the witness and errors."""
     worst_name, best_name = MEASURE_NAMES[report.mode]
-    for b in report.functions:
+    for block in report.functions:
         for name, ratio, value, witness in (
-            (worst_name, b.worst_ratio, b.max_equilibrium_value, b.worst_witness),
-            (best_name, b.best_ratio, b.min_equilibrium_value, b.best_witness),
+            (worst_name, block.worst_ratio, block.max_equilibrium_value, block.worst_witness),
+            (best_name, block.best_ratio, block.min_equilibrium_value, block.best_witness),
         ):
-            cells = [b.function, name, _cell(ratio, missing), _cell(value, missing), str(b.optimal_value)]
-            yield cells, witness, b.errors
+            cells = [block.function, name, _cell(ratio, missing), _cell(value, missing), str(block.optimal_value)]
+            yield cells, witness, block.errors
 
 
 def _csv(rows: list[list[str]]) -> str:
@@ -353,11 +353,11 @@ def sweep_from_dict(doc: object) -> SweepSpec:
         function = raw.get("function")
         if function not in SOCIAL_TAGS:
             raise ValueError(f"bound function must be one of {SOCIAL_TAGS}, got {function!r}")
-        fields = ("lower", "upper") if relation == "between" else ("expected",)
-        for field in fields:
+        exprs = ("lower", "upper") if relation == "between" else ("expected",)
+        for field in exprs:
             if not raw.get(field) or not isinstance(raw[field], str):
                 raise ValueError(f"a {relation!r} bound needs {field!r} as an expression string")
-        rules.append(BoundRule(function, measure, relation, **{field: raw[field] for field in fields}))
+        rules.append(BoundRule(function, measure, relation, **{field: raw[field] for field in exprs}))
     if not rules:
         raise ValueError("sweep spec needs a nonempty 'bounds' list")
     return SweepSpec(family, tuple(points), tuple(rules))
@@ -473,6 +473,7 @@ def _status(row: SweepRow) -> str:
 
 def render_sweep(result: SweepResult, fmt: str = "table") -> str:
     if fmt == "json":
+        # `params` keeps its place as the first key and renders as an object.
         rows = [{**_json(row), "params": dict(row.params)} for row in result.rows]
         return json.dumps({"family": result.family, "all_passed": result.all_passed, "rows": rows}, indent=2) + "\n"
     if fmt == "csv":

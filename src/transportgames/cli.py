@@ -14,8 +14,6 @@ from pathlib import Path
 import click
 
 from .analysis import analyze, load_sweep, render_sweep, run_verify_bounds, serialize_report
-from .sequential import DEFAULT_NODE_SET_CAP
-from .simultaneous import DEFAULT_OUTCOME_BUDGET
 from .core import dumps_instance, loads_instance, save_instance, to_fraction
 from .errors import (
     BudgetExceededError,
@@ -25,6 +23,8 @@ from .errors import (
     Violation,
 )
 from .families import FAMILIES, build_family
+from .sequential import DEFAULT_NODE_SET_CAP
+from .simultaneous import DEFAULT_OUTCOME_BUDGET
 
 EXIT_VALIDATION = 1
 EXIT_BUDGET = 2
