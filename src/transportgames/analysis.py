@@ -129,13 +129,16 @@ def _function_report(summary: EquilibriumSummary, tag: SocialTag) -> FunctionRep
 
 def _json(value):
     """JSON form of a report value: a record maps its field names to their values
-    in field order, a `Fraction` becomes a string and a tuple a list."""
-    if is_dataclass(value):
-        return {field.name: _json(getattr(value, field.name)) for field in fields(value)}
+    in field order, a `Fraction` becomes a string and a tuple a list; anything
+    else passes through."""
+    if value is None or isinstance(value, (str, int)):  # most values; tested first, as the other tests cost more
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, tuple):
         return [_json(item) for item in value]
+    if is_dataclass(value):
+        return {field.name: _json(getattr(value, field.name)) for field in fields(value)}
     return value
 
 
