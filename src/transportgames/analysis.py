@@ -128,9 +128,8 @@ def _function_report(summary: EquilibriumSummary, tag: SocialTag) -> FunctionRep
 
 
 def _json(value):
-    """JSON form of a report value: a record maps its field names to their values
-    in field order, a `Fraction` becomes a string and a tuple a list; anything
-    else passes through."""
+    """JSON form of a report value: a `Fraction` becomes a string, a tuple a list
+    and a record an object (see `_record`); anything else passes through."""
     if value is None or isinstance(value, (str, int)):  # most values; tested first, as the other tests cost more
         return value
     if isinstance(value, Fraction):
@@ -138,12 +137,18 @@ def _json(value):
     if isinstance(value, tuple):
         return [_json(item) for item in value]
     if is_dataclass(value):
-        return {field.name: _json(getattr(value, field.name)) for field in fields(value)}
+        return _record(value)
     return value
 
 
+def _record(record, **given) -> dict:
+    """`record` as a JSON object: its field names in field order, each with the
+    value `given` for it or else its own value through `_json`."""
+    return {f.name: given[f.name] if f.name in given else _json(getattr(record, f.name)) for f in fields(record)}
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
-    return _json(report)
+    return _record(report)
 
 
 def _cell(value: Fraction | None, missing: str) -> str:
@@ -476,8 +481,7 @@ def _status(row: SweepRow) -> str:
 
 def render_sweep(result: SweepResult, fmt: str = "table") -> str:
     if fmt == "json":
-        # `params` keeps its place as the first key and renders as an object.
-        rows = [{**_json(row), "params": dict(row.params)} for row in result.rows]
+        rows = [_record(row, params=dict(row.params)) for row in result.rows]  # params as an object
         return json.dumps({"family": result.family, "all_passed": result.all_passed, "rows": rows}, indent=2) + "\n"
     if fmt == "csv":
         header = ["params", "function", "measure", "measured", "expected", "passed", "error"]
