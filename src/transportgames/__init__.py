@@ -33,6 +33,7 @@ from .core import (
     validate_instance,
     worst_player_cost,
 )
+from .engine import DEFAULT_OUTCOME_BUDGET, outcome_space_size
 from .errors import (
     BudgetExceededError,
     BusOutOfRangeError,
@@ -72,7 +73,6 @@ from .sequential import (
     zermelo_outcome,
 )
 from .simultaneous import (
-    DEFAULT_OUTCOME_BUDGET,
     Deviation,
     RatioReport,
     enumerate_nash,
@@ -80,7 +80,6 @@ from .simultaneous import (
     find_improving_deviation,
     is_nash_equilibrium,
     optimal_social,
-    outcome_space_size,
     poa,
     pos,
 )

@@ -1,8 +1,8 @@
 """The enumeration kernels, over scale-normalized integer distances.
 
 Every Nash scan, optimum, SPE set and Zermelo outcome in the package comes
-from this module. All arithmetic is on Python ints, so values of any size
-stay exact.
+from this module, called only through `engine.ScaledView`. All arithmetic is
+on Python ints, so values of any size stay exact.
 
 Shared argument layout (everything 0-based):
     n, m        player and bus counts

@@ -27,6 +27,7 @@ from .core import (
     instance_digest,
     to_fraction,
 )
+from .engine import DEFAULT_OUTCOME_BUDGET
 from .errors import (
     BudgetExceededError,
     DegenerateOptimumError,
@@ -40,7 +41,6 @@ from .families import build_family
 # not used here; perfbench/tracing.py wraps them at these names.
 from .sequential import DEFAULT_NODE_SET_CAP, _resolve_order, spe_outcomes, spe_summary, spoa, spos
 from .simultaneous import (
-    DEFAULT_OUTCOME_BUDGET,
     EquilibriumSummary,
     enumerate_nash,
     nash_summary,

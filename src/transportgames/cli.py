@@ -1,8 +1,9 @@
 """Command-line interface: validate, generate, analyze, and verify-bounds.
 
-Exit codes: 0 success, 1 validation or bound failure, 2 enumeration budget
-exceeded, 3 I/O failure. Missing equilibria and degenerate optima are data
-(reported in the output), not error exits.
+Exit codes: 0 success; 1 validation or bound failure; 2 enumeration budget
+or per-node SPE set cap exceeded (`SetOverflowError`), or a click usage error
+such as an unknown option; 3 I/O failure. Missing equilibria and degenerate
+optima are data (reported in the output), not error exits.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import click
 
 from .analysis import analyze, load_sweep, render_sweep, run_verify_bounds, serialize_report
 from .core import dumps_instance, loads_instance, save_instance, to_fraction
+from .engine import DEFAULT_OUTCOME_BUDGET
 from .errors import (
     BudgetExceededError,
     MalformedInstanceError,
@@ -24,7 +26,6 @@ from .errors import (
 )
 from .families import FAMILIES, build_family
 from .sequential import DEFAULT_NODE_SET_CAP
-from .simultaneous import DEFAULT_OUTCOME_BUDGET
 
 EXIT_VALIDATION = 1
 EXIT_BUDGET = 2

@@ -8,7 +8,7 @@ inside the equilibrium engines, are exact.
 The cost functions here (`player_cost`, `cost_vector`, `social_cost`, ...) are
 the definitions, read one outcome at a time. An `OutcomeSet` holds the
 kernels' codes instead and takes its extremes from their integer statistics
-(`_kernel_py.code_stats`), the same routine the analysis summaries use.
+(`ScaledView.stats`), the same routine the analysis summaries use.
 
 Conventions used throughout the package:
 
@@ -34,7 +34,6 @@ from math import lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from . import _kernel_py
 from .errors import (
     BusOutOfRangeError,
     MalformedInstanceError,
@@ -382,16 +381,15 @@ class OutcomeSet:
 
     def contains(self, sigma: Sequence[int]) -> bool:
         view = self.view
-        valid = len(sigma) == view.n and all(isinstance(bus, int) and 1 <= bus <= view.m for bus in sigma)
-        return valid and view.code(sigma) in self.codes
+        buses = all(isinstance(bus, int) and not isinstance(bus, bool) and 1 <= bus <= view.m for bus in sigma)
+        return len(sigma) == view.n and buses and view.code(sigma) in self.codes
 
     def _stats(self, function: SocialTag) -> tuple[int, int, int, int]:
         """(min, argmin, max, argmax) of `function` over the set, scaled."""
         code = social_code(function)
         if not self.codes:
             raise ValueError(f"an empty outcome set has no extreme {function} value")
-        view = self.view
-        return _kernel_py.code_stats(view.n, view.m, view.dist, view.perms, (code,), self.codes)[0]
+        return self.view.stats(self.codes, (code,))[0]
 
     def min_social(self, function: SocialTag) -> tuple[Fraction, Outcome]:
         value, code = self._stats(function)[:2]

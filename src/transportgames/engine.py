@@ -1,11 +1,11 @@
-"""Scale-normalized integer views of instances.
+"""Scale-normalized integer views of instances, and the one way into the kernels.
 
-The enumeration kernels in `_kernel_py` work on integer distances obtained by
-multiplying the whole matrix by the least common multiple of its
-denominators. Every player cost and social value is then an integer,
-comparisons stay exact, and results convert back to `Fraction` by dividing
-out the scale. Outcomes travel as the kernels' codes, their lexicographic
-ranks, and become tuples only when read.
+The kernels in `_kernel_py` work on integer distances: the whole matrix times
+the least common multiple of its denominators. Every cost is then an integer,
+comparisons stay exact, and results convert back to `Fraction` by dividing out
+the scale. Outcomes travel as the kernels' codes, their lexicographic ranks.
+Each question asked of a kernel is one `ScaledView` method, and `view_within`
+checks the outcome budget first.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from typing import Sequence
 
 from . import _kernel_py
 from .core import Instance, Outcome, scaled_rows
+from .errors import BudgetExceededError
+
+DEFAULT_OUTCOME_BUDGET = 10**7
+FCODES = (0, 1, 2)  # every social function code: D, E, U
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,38 @@ class ScaledView:
             code = code * self.m + bus - 1
         return code
 
+    def nash(self) -> tuple[int, tuple, tuple]:
+        """(count, optimum, kept) of the Nash equilibria for every social function.
+
+        With one shared pickup order (`lead` is 1) the scan covers only the
+        outcomes with player 1 on bus 1. Relabeling buses maps equilibria to
+        equilibria and keeps every value, so the count is m times the scanned
+        one, and the first outcome of each relabeling orbit, where ties
+        resolve, has player 1 on bus 1. The same holds for `optimum`.
+        """
+        _codes, count, optimum, kept = _kernel_py.scan_nash(self.n, self.m, self.dist, self.perms, FCODES, self.lead, False)
+        return count * (self.m // self.lead), optimum, kept
+
+    def nash_codes(self) -> list[int]:
+        """Codes of every Nash equilibrium; collecting them scans all m^n outcomes."""
+        return _kernel_py.scan_nash(self.n, self.m, self.dist, self.perms, (), self.m, True)[0]
+
+    def optimum(self, fcodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """(min, argmin) over all outcomes of each social function in `fcodes`."""
+        return tuple(stats[:2] for stats in _kernel_py.scan_social(self.n, self.m, self.dist, self.perms, fcodes, self.lead))
+
+    def stats(self, codes: Sequence[int], fcodes: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+        """(min, argmin, max, argmax) over `codes` of each social function in `fcodes`."""
+        return _kernel_py.code_stats(self.n, self.m, self.dist, self.perms, fcodes, codes)
+
+    def spe(self, order: Sequence[int], node_cap: int) -> list[int]:
+        """Sorted codes of the SPE outcomes under the 1-based move `order`."""
+        return _kernel_py.spe_codes(self.n, self.m, self.dist, self.perms, tuple(p - 1 for p in order), node_cap)
+
+    def zermelo(self, order: Sequence[int]) -> int:
+        """Code of the backward-induction outcome under the 1-based move `order`."""
+        return _kernel_py.zermelo_code(self.n, self.m, self.dist, self.perms, tuple(p - 1 for p in order))
+
 
 @lru_cache(maxsize=256)
 def scaled_view(inst: Instance) -> ScaledView:
@@ -57,6 +93,18 @@ def scaled_view(inst: Instance) -> ScaledView:
     # cost, so the scans need only the outcomes with player 1 on bus 1.
     lead = 1 if len(set(inst.perms)) == 1 else inst.m
     return ScaledView(inst.n, inst.m, scale, flat, perms_flat, lead)
+
+
+def outcome_space_size(inst: Instance) -> int:
+    return inst.m**inst.n
+
+
+def view_within(inst: Instance, budget: int) -> ScaledView:
+    """The scaled view of `inst`, once its m^n outcomes fit within `budget`."""
+    size = outcome_space_size(inst)
+    if size > budget:
+        raise BudgetExceededError(f"{inst.m}^{inst.n} = {size} outcomes exceed the budget of {budget}")
+    return scaled_view(inst)
 
 
 # Read only by the benchmark harness in perfbench/, which still records a

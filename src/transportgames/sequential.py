@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from . import _kernel_py, engine
+from . import engine
 from .core import (
     CostVector,
     Instance,
@@ -26,13 +26,11 @@ from .core import (
     evaluate_outcomes,
     social_code,
 )
+from .engine import DEFAULT_OUTCOME_BUDGET, FCODES
 from .errors import OracleBudgetExceededError
 from .simultaneous import (
-    DEFAULT_OUTCOME_BUDGET,
-    FCODES,
     EquilibriumSummary,
     RatioReport,
-    _kernel,
     optimal_social,  # unused here; perfbench/tracing.py wraps it at this name
 )
 
@@ -54,9 +52,8 @@ def _resolve_order(inst: Instance, order: Sequence[int] | None) -> MoveOrder:
 
 def _spe_codes(inst: Instance, order, budget: int, node_set_cap: int):
     order_t = _resolve_order(inst, order)
-    view = _kernel(inst, budget)
-    codes = _kernel_py.spe_codes(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t), node_set_cap)
-    return view, codes
+    view = engine.view_within(inst, budget)
+    return view, view.spe(order_t, node_set_cap)
 
 
 def spe_outcomes(
@@ -86,9 +83,8 @@ def zermelo_outcome(
     reproducible; it always belongs to `spe_outcomes`.
     """
     order_t = _resolve_order(inst, order)
-    view = _kernel(inst, budget)
-    code = _kernel_py.zermelo_code(view.n, view.m, view.dist, view.perms, tuple(p - 1 for p in order_t))
-    sigma = view.outcome(code)
+    view = engine.view_within(inst, budget)
+    sigma = view.outcome(view.zermelo(order_t))
     return sigma, cost_vector(inst, sigma)
 
 
@@ -201,10 +197,7 @@ def spe_summary(
     optimum unless another summary of `inst` already holds it.
     """
     view, codes = _spe_codes(inst, order, budget, node_set_cap)
-    n, m, dist, perms = view.n, view.m, view.dist, view.perms
-    if optimum is None:
-        optimum = tuple(stats[:2] for stats in _kernel_py.scan_social(n, m, dist, perms, FCODES, view.lead))
-    return EquilibriumSummary(view, len(codes), optimum, _kernel_py.code_stats(n, m, dist, perms, FCODES, codes))
+    return EquilibriumSummary(view, len(codes), optimum or view.optimum(FCODES), view.stats(codes, FCODES))
 
 
 def spoa(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
-from . import _kernel_py, engine
+from . import engine
 from .core import (
     Instance,
     Outcome,
@@ -23,27 +23,8 @@ from .core import (
     player_cost,
     social_code,
 )
-from .errors import BudgetExceededError, DegenerateOptimumError, NoEquilibriumError
-
-DEFAULT_OUTCOME_BUDGET = 10**7
-
-FCODES = (0, 1, 2)
-
-
-def outcome_space_size(inst: Instance) -> int:
-    return inst.m**inst.n
-
-
-def _require_budget(inst: Instance, budget: int) -> None:
-    size = outcome_space_size(inst)
-    if size > budget:
-        raise BudgetExceededError(f"{inst.m}^{inst.n} = {size} outcomes exceed the budget of {budget}")
-
-
-def _kernel(inst: Instance, budget: int) -> engine.ScaledView:
-    """The scaled view the kernels read for `inst`, within the budget."""
-    _require_budget(inst, budget)
-    return engine.scaled_view(inst)
+from .engine import DEFAULT_OUTCOME_BUDGET
+from .errors import DegenerateOptimumError, NoEquilibriumError
 
 
 def enumerate_outcomes(inst: Instance, budget: int = DEFAULT_OUTCOME_BUDGET) -> Iterator[Outcome]:
@@ -51,7 +32,7 @@ def enumerate_outcomes(inst: Instance, budget: int = DEFAULT_OUTCOME_BUDGET) -> 
 
     The budget is checked eagerly, before the first outcome is produced.
     """
-    _require_budget(inst, budget)
+    engine.view_within(inst, budget)
     return iter(product(range(1, inst.m + 1), repeat=inst.n))
 
 
@@ -89,9 +70,8 @@ def enumerate_nash(
     budget: int = DEFAULT_OUTCOME_BUDGET,
 ) -> OutcomeSet:
     """Exactly the outcomes where no player has a strictly improving switch."""
-    view = _kernel(inst, budget)
-    codes = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, (), view.m, True)[0]
-    return OutcomeSet(view, tuple(codes))
+    view = engine.view_within(inst, budget)
+    return OutcomeSet(view, tuple(view.nash_codes()))
 
 
 def optimal_social(
@@ -103,11 +83,11 @@ def optimal_social(
 
     Ties resolve to the lexicographically smallest outcome. When the buses
     share one pickup order, the scan covers only the outcomes with player 1
-    on bus 1, and that outcome is among them (see `nash_summary`).
+    on bus 1, and that outcome is among them (see `engine.ScaledView.nash`).
     """
     code = social_code(function)
-    view = _kernel(inst, budget)
-    minv, amin, _maxv, _amax = _kernel_py.scan_social(view.n, view.m, view.dist, view.perms, (code,), view.lead)[0]
+    view = engine.view_within(inst, budget)
+    minv, amin = view.optimum((code,))[0]
     return view.to_fraction(minv), view.outcome(amin)
 
 
@@ -157,18 +137,9 @@ def nash_summary(
     budget: int = DEFAULT_OUTCOME_BUDGET,
 ) -> EquilibriumSummary:
     """The Nash equilibria and the optimum of every social function, from one
-    kernel pass.
-
-    When the buses share one pickup order (`view.lead` is 1), the pass scans
-    only the outcomes with player 1 on bus 1. Relabeling buses then maps
-    equilibria to equilibria and keeps every value, so player 1's bus splits
-    the equilibria evenly (the count is m times the scanned one), and the
-    first outcome of each relabeling orbit, where ties resolve, has player 1
-    on bus 1.
-    """
-    view = _kernel(inst, budget)
-    _codes, count, optimum, kept = _kernel_py.scan_nash(view.n, view.m, view.dist, view.perms, FCODES, view.lead, False)
-    return EquilibriumSummary(view, count * (view.m // view.lead), optimum, kept)
+    kernel pass (`engine.ScaledView.nash`)."""
+    view = engine.view_within(inst, budget)
+    return EquilibriumSummary(view, *view.nash())
 
 
 def poa(

@@ -479,7 +479,7 @@ class TestEvaluations:
         for sigma in tg.enumerate_outcomes(inst):
             assert spe.contains(sigma) == (sigma in members)
         # (1, 1, 1, 3) has the code of (1, 1, 2, 1); the others have the wrong length or a bad bus.
-        for bad in ((1, 1, 1, 3), (1, 1, 2), (1, 1, 2, 1, 1), (0, 1, 2, 1), ("1", 1, 2, 1)):
+        for bad in ((1, 1, 1, 3), (1, 1, 2), (1, 1, 2, 1, 1), (0, 1, 2, 1), ("1", 1, 2, 1), (True, 1, 2, 1)):
             assert not spe.contains(bad)
 
     def test_evaluate_outcomes_dedupes_sorts_and_checks(self):

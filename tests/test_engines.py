@@ -1,8 +1,10 @@
 """Scaled integer views, and the kernels against definitional references."""
 
+import ast
 import random
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,22 @@ class TestScaledView:
 
 
 ALL = (0, 1, 2)  # D, E, U
+
+
+def test_only_engine_imports_the_kernel():
+    package = Path(tg.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("_kernel_py" in name.split(".") for name in names):
+                importers.add(path.name)
+    assert importers == {"engine.py"}
 
 
 def kernel_games():

@@ -18,10 +18,10 @@ import transportgames as tg
 from transportgames import _kernel_py
 from transportgames.analysis import FunctionReport, SweepRow, eval_bound_expr, sweep_from_dict
 from transportgames.core import to_fraction
-from transportgames.engine import scaled_view
+from transportgames.engine import FCODES, scaled_view
 from transportgames.families import FAMILIES, Family, FamilyParam
 from transportgames.sequential import spe_summary
-from transportgames.simultaneous import FCODES, nash_summary
+from transportgames.simultaneous import nash_summary
 
 from support import NE_FREE, random_instance, tie_instance
 
