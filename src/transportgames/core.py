@@ -1,9 +1,9 @@
 """Exact game model: instances, bus routes, player costs, and social costs.
 
-Every numeric quantity at the API boundary is a `fractions.Fraction`; inside
-the structural and metric checks the distances are common-denominator integers
-(`scaled_rows`). Either way cost comparisons, and in particular tie detection
-inside the equilibrium engines, are exact.
+Every numeric quantity at the API boundary is a `fractions.Fraction`; an
+`Instance` also holds its distances as common-denominator integers (`scale`,
+`rows`), which the checks, equality, hashing and the kernels read. Either way
+cost comparisons, and in particular tie detection in the engines, are exact.
 
 The cost functions here (`player_cost`, `cost_vector`, `social_cost`, ...) are
 the definitions, read one outcome at a time. An `OutcomeSet` holds the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -113,10 +113,11 @@ def instance_violations(
     n: object,
     m: object,
     dist: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int]],
     perms: Sequence[Sequence[int]],
     declared_metric: object,
 ) -> list[Violation]:
-    """Collect every structural defect; an empty list means the data is sound."""
+    """Collect every structural defect (`dist` checked on its integers `rows`); empty means sound."""
     out: list[Violation] = []
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         out.append(Violation("player-count", f"n must be an integer >= 1, got {n!r}"))
@@ -134,7 +135,6 @@ def instance_violations(
             )
         )
     else:
-        _, rows = scaled_rows(dist)
         for i in range(size):
             if rows[i][i] != 0:
                 out.append(Violation("nonzero-diagonal", f"dist[{i}][{i}] = {dist[i][i]} != 0"))
@@ -183,28 +183,29 @@ class Instance:
     """A transportation game: players on a complete graph plus fixed bus pickup orders.
 
     Construction validates the data and raises `MalformedInstanceError` listing
-    every violation, so an `Instance` in hand is always structurally sound.
+    every violation, so an `Instance` in hand is always structurally sound. It
+    also holds `dist` as common-denominator integers, `scale` and `rows` (see
+    `scaled_rows`); equality and hashing read that canonical form.
     """
 
     n: int
     m: int
-    dist: Matrix
+    dist: Matrix = field(compare=False)
     perms: tuple[tuple[int, ...], ...]
     declared_metric: bool | None = None
+    scale: int = field(init=False, repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dist = tuple(tuple(to_fraction(x) for x in row) for row in self.dist)
-        perms = tuple(tuple(perm) for perm in self.perms)
+        scale, rows = scaled_rows(dist)
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "perms", perms)
-        violations = instance_violations(self.n, self.m, dist, perms, self.declared_metric)
+        object.__setattr__(self, "perms", tuple(tuple(perm) for perm in self.perms))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        violations = instance_violations(self.n, self.m, dist, self.rows, self.perms, self.declared_metric)
         if violations:
             raise MalformedInstanceError(violations)
-
-    @property
-    def t_index(self) -> int:
-        """Row/column of the destination inside `dist`."""
-        return self.n
 
     def vertices(self) -> tuple[int | str, ...]:
         return tuple(range(1, self.n + 1)) + (DESTINATION,)
@@ -232,7 +233,7 @@ def check_metric(inst: Instance) -> MetricCheck:
     Returns ``(True, None)`` for (pseudo-)metric instances, otherwise
     ``(False, (x, y, w))`` with the first triple where d(x,w) > d(x,y) + d(y,w).
     """
-    raw = _triangle_witness(scaled_rows(inst.dist)[1])
+    raw = _triangle_witness(inst.rows)
     if raw is None:
         return MetricCheck(True, None)
     labels = inst.vertices()

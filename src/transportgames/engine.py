@@ -1,9 +1,9 @@
 """Scale-normalized integer views of instances, and the one way into the kernels.
 
-The kernels in `_kernel_py` work on integer distances: the whole matrix times
-the least common multiple of its denominators. Every cost is then an integer,
-comparisons stay exact, and results convert back to `Fraction` by dividing out
-the scale. Outcomes travel as the kernels' codes, their lexicographic ranks.
+The kernels in `_kernel_py` work on integer distances: the `Instance.rows`
+matrix, `dist` times its `scale`. Every cost is then an integer, comparisons
+stay exact, and results convert back to `Fraction` by dividing out the scale.
+Outcomes travel as the kernels' codes, their lexicographic ranks.
 Each question asked of a kernel is one `ScaledView` method, and `view_within`
 checks the outcome budget first.
 """
@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import _kernel_py
-from .core import Instance, Outcome, scaled_rows
+from .core import Instance, Outcome
 from .errors import BudgetExceededError
 
 DEFAULT_OUTCOME_BUDGET = 10**7
@@ -86,13 +86,12 @@ class ScaledView:
 
 @lru_cache(maxsize=256)
 def scaled_view(inst: Instance) -> ScaledView:
-    scale, rows = scaled_rows(inst.dist)
-    flat = tuple(v for row in rows for v in row)
+    flat = tuple(v for row in inst.rows for v in row)
     perms_flat = tuple(p - 1 for perm in inst.perms for p in perm)
     # Buses that share one pickup order can be relabeled without changing any
     # cost, so the scans need only the outcomes with player 1 on bus 1.
     lead = 1 if len(set(inst.perms)) == 1 else inst.m
-    return ScaledView(inst.n, inst.m, scale, flat, perms_flat, lead)
+    return ScaledView(inst.n, inst.m, inst.scale, flat, perms_flat, lead)
 
 
 def outcome_space_size(inst: Instance) -> int:

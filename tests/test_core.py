@@ -317,6 +317,60 @@ class TestIntegerMetricCheck:
         assert self.assert_matches_reference(dist) is not None
 
 
+class TestIntegerForm:
+    """`Instance.scale` and `Instance.rows`: computed once, and canonical."""
+
+    def test_scaled_once_per_construction(self, monkeypatch):
+        from transportgames import engine
+
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return scaled_rows(matrix)
+
+        text = tg.dumps_instance(tg.gen_random_metric(4, 3, seed=5))
+        monkeypatch.setattr(core, "scaled_rows", counting)
+        monkeypatch.setattr(engine, "scaled_rows", counting, raising=False)
+        inst = tg.loads_instance(text)
+        assert len(calls) == 1
+        assert tg.Instance(inst.n, inst.m, inst.dist, inst.perms, True) == inst
+        assert len(calls) == 2
+        tg.check_metric(inst)
+        engine.scaled_view.cache_clear()
+        view = engine.scaled_view(inst)
+        assert len(calls) == 2
+        assert inst.scale > 1 and view.scale == inst.scale
+        assert view.dist == tuple(v for row in inst.rows for v in row)
+
+    def test_equal_values_in_any_spelling_are_equal(self):
+        spellings = [
+            ((F(0), F(1, 2), F(3)), (F(1, 2), F(0), F(5, 2)), (F(3), F(5, 2), F(0))),
+            ((0, F(1, 2), 3), (F(1, 2), 0, F(5, 2)), (3, F(5, 2), 0)),
+            (("0", "1/2", "3"), ("1/2", "0", "5/2"), ("3", "5/2", "0")),
+            (("0/7", "2/4", "6/2"), ("3/6", "0", "10/4"), ("9/3", "15/6", "0/1")),
+        ]
+        insts = [tg.Instance(2, 2, dist, ((1, 2), (2, 1))) for dist in spellings]
+        assert all(inst == insts[0] and hash(inst) == hash(insts[0]) for inst in insts)
+        assert {inst.scale for inst in insts} == {2}
+        # the same integers over another scale are another instance
+        doubled = tg.Instance(2, 2, ((0, 1, 6), (1, 0, 5), (6, 5, 0)), ((1, 2), (2, 1)))
+        assert doubled.rows == insts[0].rows and doubled != insts[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_exactly_when_the_fractions_are(self, seed):
+        rng = random.Random(seed)
+        insts = [tg.Instance(2, 2, tie_heavy_matrix(rng, 3), ((1, 2), (1, 2))) for _ in range(40)]
+        equal_pairs = 0
+        for a in insts:
+            for b in insts:
+                assert (a == b) == (a.dist == b.dist)
+                if a == b:
+                    assert hash(a) == hash(b)
+                    equal_pairs += 1
+        assert equal_pairs > len(insts)  # some draws repeat
+
+
 class TestMetric:
     def test_five_chain_is_metric(self):
         assert tg.check_metric(tg.gen_five_chain()) == (True, None)
