@@ -27,7 +27,7 @@ from .core import (
     instance_digest,
     to_fraction,
 )
-from .engine import DEFAULT_OUTCOME_BUDGET
+from .engine import DEFAULT_OUTCOME_BUDGET, check_budget
 from .errors import (
     BudgetExceededError,
     DegenerateOptimumError,
@@ -35,7 +35,7 @@ from .errors import (
     ParameterDomainError,
     SetOverflowError,
 )
-from .families import build_family
+from .families import build_family, family_shape
 
 # enumerate_nash, optimal_social, poa, pos, spe_outcomes, spoa and spos are
 # not used here; perfbench/tracing.py wraps them at these names.
@@ -336,9 +336,9 @@ def sweep_from_dict(doc: object) -> SweepSpec:
         raise ValueError("sweep spec needs a 'family' string")
     points: list[dict] = [dict(p) for p in _objects(doc, "points")]
     grid = doc.get("grid")
+    if grid is not None and not isinstance(grid, Mapping):
+        raise ValueError("sweep spec field 'grid' must be an object")
     if grid:
-        if not isinstance(grid, Mapping):
-            raise ValueError("sweep spec field 'grid' must be an object")
         for name, values in grid.items():
             if not isinstance(values, list):
                 raise ValueError(f"sweep spec field 'grid.{name}' must be a list of values")
@@ -423,13 +423,19 @@ def run_verify_bounds(
     """Evaluate every bound rule at every sweep point, exactly (no tolerance).
 
     Per-point failures (budget, missing equilibrium, degenerate optimum, bad
-    parameters) are recorded on the affected rows rather than raised.
+    parameters) are recorded on the affected rows rather than raised. A point
+    whose outcomes exceed `budget` is refused before its instance is built.
     """
     rows: list[SweepRow] = []
     for point in spec.points:
         point_items = tuple(sorted(point.items()))
+        built: dict[str, EquilibriumSummary | Exception] = {}  # per mode, on first use
         try:
+            n, m = family_shape(spec.family, point)
+            check_budget(n, m, budget)
             inst = build_family(spec.family, point)
+        except BudgetExceededError as exc:
+            built = dict.fromkeys(MODES, exc)
         except (ParameterDomainError, ValueError) as exc:
             for rule in spec.rules:
                 rows.append(SweepRow(point_items, rule.function, rule.measure, None, rule.describe(), None, str(exc)))
@@ -440,9 +446,8 @@ def run_verify_bounds(
                 env[name] = to_fraction(value)
             except ValueError:
                 continue  # non-numeric parameters (e.g. a permutation scheme)
-        env.setdefault("n", Fraction(inst.n))
-        env.setdefault("m", Fraction(inst.m))
-        built: dict[str, EquilibriumSummary | Exception] = {}  # per mode, on first use
+        env.setdefault("n", Fraction(n))
+        env.setdefault("m", Fraction(m))
         for rule in spec.rules:
             measured = None
             error = None

@@ -10,6 +10,7 @@ checks the outcome budget first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -98,11 +99,23 @@ def outcome_space_size(inst: Instance) -> int:
     return inst.m**inst.n
 
 
+def check_budget(n: int, m: int, budget: int) -> None:
+    """Raise `BudgetExceededError` when the m^n outcomes of n players on m >= 2
+    buses exceed `budget`.
+
+    Past the bit length of `budget` players, m^n > budget without computing
+    it. The message spells m^n out only while it has at most 4,300 digits, the
+    most `str` converts by default.
+    """
+    if n <= budget.bit_length() and m**n <= budget:
+        return
+    count = f"{m}^{n} = {m**n}" if n < 4300 / math.log10(m) else f"{m}^{n}"
+    raise BudgetExceededError(f"{count} outcomes exceed the budget of {budget}")
+
+
 def view_within(inst: Instance, budget: int) -> ScaledView:
     """The scaled view of `inst`, once its m^n outcomes fit within `budget`."""
-    size = outcome_space_size(inst)
-    if size > budget:
-        raise BudgetExceededError(f"{inst.m}^{inst.n} = {size} outcomes exceed the budget of {budget}")
+    check_budget(inst.n, inst.m, budget)
     return scaled_view(inst)
 
 

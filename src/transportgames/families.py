@@ -2,7 +2,9 @@
 closure, and seeded random metric instances.
 
 Each builder returns a fully validated `Instance`; the `FAMILIES` registry
-drives both the CLI ``generate`` subcommand and the sweep runner.
+drives both the CLI ``generate`` subcommand and the sweep runner. Each family's
+parameter checks live in a shape function that returns the `(n, m)` of the
+instance, so the sweep runner can refuse an outcome space before building it.
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ def gen_four_line() -> Instance:
     return Instance(4, 2, dist, (perm, perm), declared_metric=True)
 
 
+def _spike_shape(x: object) -> tuple[int, int]:
+    spike = to_fraction(x)
+    if spike <= 0:
+        raise NonPositiveParameterError(f"spike distance must be > 0, got {spike}")
+    return 3, 2
+
+
 def gen_nonmetric_spike(x: object) -> Instance:
     """Three players, two buses, one triangle-breaking expensive vertex.
 
@@ -121,9 +130,8 @@ def gen_nonmetric_spike(x: object) -> Instance:
     other for player 2); player 1 is `x` away from everything that matters.
     Both buses pick up in the order (1, 3, 2).
     """
+    _spike_shape(x)
     spike = to_fraction(x)
-    if spike <= 0:
-        raise NonPositiveParameterError(f"spike distance must be > 0, got {spike}")
     z = Fraction(0)
     one = Fraction(1)
     dist = (
@@ -136,12 +144,7 @@ def gen_nonmetric_spike(x: object) -> Instance:
     return Instance(3, 2, dist, (perm, perm), declared_metric=False)
 
 
-def gen_uniform_star(n: int, m: int, epsilon: object, perm_scheme: str = "identity") -> Instance:
-    """Every player at distance 1 from the destination, pairwise `epsilon`.
-
-    `perm_scheme` selects the shared pickup order: "identity" = (1..n), or
-    "reverse" = (n..1). Metric exactly when epsilon <= 2.
-    """
+def _star_shape(n: int, m: int, epsilon: object, perm_scheme: str = "identity") -> tuple[int, int]:
     if n < 1 or m < 2:
         raise ParameterDomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     eps = to_fraction(epsilon)
@@ -149,6 +152,17 @@ def gen_uniform_star(n: int, m: int, epsilon: object, perm_scheme: str = "identi
         raise NonPositiveParameterError(f"epsilon must be > 0, got {eps}")
     if perm_scheme not in ("identity", "reverse"):
         raise ParameterDomainError(f"perm_scheme must be 'identity' or 'reverse', got {perm_scheme!r}")
+    return n, m
+
+
+def gen_uniform_star(n: int, m: int, epsilon: object, perm_scheme: str = "identity") -> Instance:
+    """Every player at distance 1 from the destination, pairwise `epsilon`.
+
+    `perm_scheme` selects the shared pickup order: "identity" = (1..n), or
+    "reverse" = (n..1). Metric exactly when epsilon <= 2.
+    """
+    _star_shape(n, m, epsilon, perm_scheme)
+    eps = to_fraction(epsilon)
     one = Fraction(1)
     rows = []
     for i in range(n):
@@ -173,6 +187,17 @@ def group_level_layout(k: int, m: int, pad: int = 0) -> tuple[tuple[str, int] | 
     return tuple(layout)
 
 
+def _group_levels_shape(k: int, m: int, a: object, pad: int = 0) -> tuple[int, int]:
+    if k < 1 or m < 2:
+        raise ParameterDomainError(f"need k >= 1 and m >= 2, got k={k}, m={m}")
+    if pad < 0:
+        raise ParameterDomainError(f"pad must be >= 0, got {pad}")
+    av = to_fraction(a)
+    if av <= 1:
+        raise ParameterDomainError(f"a must be > 1, got {av}")
+    return 2 * k * m + pad, m
+
+
 def gen_group_levels(k: int, m: int, a: object, pad: int = 0) -> Instance:
     """Two groups of k*m players each, organized in k levels per group.
 
@@ -182,13 +207,8 @@ def gen_group_levels(k: int, m: int, a: object, pad: int = 0) -> Instance:
     players may be appended at the destination, placed last in the pickup
     order (they take the lowest player numbers).
     """
-    if k < 1 or m < 2:
-        raise ParameterDomainError(f"need k >= 1 and m >= 2, got k={k}, m={m}")
-    if pad < 0:
-        raise ParameterDomainError(f"pad must be >= 0, got {pad}")
+    _group_levels_shape(k, m, a, pad)
     av = to_fraction(a)
-    if av <= 1:
-        raise ParameterDomainError(f"a must be > 1, got {av}")
     layout = group_level_layout(k, m, pad)
     n = len(layout)
     to_dest = {"L": av * av, "R": av}
@@ -214,6 +234,15 @@ def gen_group_levels(k: int, m: int, a: object, pad: int = 0) -> Instance:
     return Instance(n, m, dist, (perm,) * m, declared_metric=True)
 
 
+def _far_shape(n: int, m: int, epsilon: object) -> tuple[int, int]:
+    if m < 2 or n <= m:
+        raise ParameterDomainError(f"need n > m >= 2, got n={n}, m={m}")
+    eps = to_fraction(epsilon)
+    if eps < 0:
+        raise ParameterDomainError(f"epsilon must be >= 0, got {eps}")
+    return n, m
+
+
 def gen_zero_cluster_far(n: int, m: int, epsilon: object) -> Instance:
     """Players 1..n-m coincide with the destination; the last m players sit at
     distance 1 from it and pairwise `epsilon`.
@@ -222,11 +251,8 @@ def gen_zero_cluster_far(n: int, m: int, epsilon: object) -> Instance:
     destination). Every bus picks up the near players first, then the far
     players in descending order.
     """
-    if m < 2 or n <= m:
-        raise ParameterDomainError(f"need n > m >= 2, got n={n}, m={m}")
+    _far_shape(n, m, epsilon)
     eps = to_fraction(epsilon)
-    if eps < 0:
-        raise ParameterDomainError(f"epsilon must be >= 0, got {eps}")
     t = n
     edges: dict[tuple[int, int], object] = {}
     near = range(0, n - m)
@@ -246,14 +272,19 @@ def gen_zero_cluster_far(n: int, m: int, epsilon: object) -> Instance:
     return Instance(n, m, dist, (perm,) * m, declared_metric=True)
 
 
+def _single_shape(n: int) -> tuple[int, int]:
+    if n < 2:
+        raise ParameterDomainError(f"need n >= 2, got n={n}")
+    return n, n
+
+
 def gen_zero_cluster_single(n: int) -> Instance:
     """Players 1..n-1 coincide with the destination; player n is 1 away.
 
     Uses m = n buses and identity pickup orders; cross distances close through
     the destination.
     """
-    if n < 2:
-        raise ParameterDomainError(f"need n >= 2, got n={n}")
+    _single_shape(n)
     t = n
     edges: dict[tuple[int, int], object] = {(n - 1, t): 1}
     for i in range(n - 1):
@@ -263,6 +294,16 @@ def gen_zero_cluster_single(n: int) -> Instance:
     dist = shortest_path_closure(_edges_to_matrix(n + 1, edges))
     perm = tuple(range(1, n + 1))
     return Instance(n, n, dist, (perm,) * n, declared_metric=True)
+
+
+def _random_metric_shape(n: int, m: int, seed: int, low: int = 1, high: int = 12, max_denominator: int = 8):
+    if n < 1 or m < 2:
+        raise ParameterDomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+    if low < 0 or high < low:
+        raise ParameterDomainError(f"need 0 <= low <= high, got {(low, high)}")
+    if max_denominator < 1:
+        raise ParameterDomainError(f"max_denominator must be >= 1, got {max_denominator}")
+    return n, m
 
 
 def gen_random_metric(
@@ -278,13 +319,8 @@ def gen_random_metric(
     denominators up to `max_denominator` (kept small so exact arithmetic stays
     cheap); pickup orders are independent random permutations per bus.
     """
-    if n < 1 or m < 2:
-        raise ParameterDomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     low, high = value_range
-    if low < 0 or high < low:
-        raise ParameterDomainError(f"need 0 <= low <= high, got {value_range}")
-    if max_denominator < 1:
-        raise ParameterDomainError(f"max_denominator must be >= 1, got {max_denominator}")
+    _random_metric_shape(n, m, seed, low, high, max_denominator)
     rng = random.Random(seed)
     size = n + 1
     raw: list[list[object]] = [[None] * size for _ in range(size)]
@@ -313,7 +349,7 @@ class FamilyParam:
 @dataclass(frozen=True)
 class Family:
     tag: str
-    summary: str
+    shape: Callable[..., tuple[int, int]]  # checks the parameters, returns the (n, m) that `build` gives
     params: tuple[FamilyParam, ...]
     build: Callable[..., Instance]
 
@@ -325,17 +361,17 @@ def _build_random_metric(n, m, seed, low=1, high=12, max_denominator=8):
 FAMILIES: dict[str, Family] = {
     fam.tag: fam
     for fam in (
-        Family("five-chain", "five players on a weighted chain, uniform destination distance", (), gen_five_chain),
-        Family("four-line", "four players on a unit line through the destination", (), gen_four_line),
+        Family("five-chain", lambda: (5, 2), (), gen_five_chain),
+        Family("four-line", lambda: (4, 2), (), gen_four_line),
         Family(
             "nonmetric-spike",
-            "three players with one expensive triangle-breaking vertex",
+            _spike_shape,
             (FamilyParam("x", "rational"),),
             gen_nonmetric_spike,
         ),
         Family(
             "uniform-star",
-            "all players at distance 1 from the destination, pairwise epsilon",
+            _star_shape,
             (
                 FamilyParam("n", "int"),
                 FamilyParam("m", "int"),
@@ -346,7 +382,7 @@ FAMILIES: dict[str, Family] = {
         ),
         Family(
             "group-levels",
-            "two groups with k levels of m players each",
+            _group_levels_shape,
             (
                 FamilyParam("k", "int"),
                 FamilyParam("m", "int"),
@@ -357,7 +393,7 @@ FAMILIES: dict[str, Family] = {
         ),
         Family(
             "zero-cluster-far",
-            "n-m players at the destination plus m players one unit away",
+            _far_shape,
             (
                 FamilyParam("n", "int"),
                 FamilyParam("m", "int"),
@@ -365,15 +401,10 @@ FAMILIES: dict[str, Family] = {
             ),
             gen_zero_cluster_far,
         ),
-        Family(
-            "zero-cluster-single",
-            "n-1 players at the destination plus one player one unit away, m = n",
-            (FamilyParam("n", "int"),),
-            gen_zero_cluster_single,
-        ),
+        Family("zero-cluster-single", _single_shape, (FamilyParam("n", "int"),), gen_zero_cluster_single),
         Family(
             "random-metric",
-            "seeded random distances made metric by closure",
+            _random_metric_shape,
             (
                 FamilyParam("n", "int"),
                 FamilyParam("m", "int"),
@@ -405,8 +436,8 @@ def _coerce_param(spec: FamilyParam, value: object) -> object:
     raise AssertionError(f"unknown parameter kind {spec.kind!r}")
 
 
-def build_family(tag: str, params: Mapping[str, object] | None = None) -> Instance:
-    """Instantiate a registered family from a parameter mapping."""
+def _family_args(tag: str, params: Mapping[str, object] | None) -> tuple[Family, dict[str, object]]:
+    """A registered family and its arguments, coerced from a parameter mapping."""
     if tag not in FAMILIES:
         raise ParameterDomainError(f"unknown family {tag!r}; known: {sorted(FAMILIES)}")
     family = FAMILIES[tag]
@@ -421,4 +452,17 @@ def build_family(tag: str, params: Mapping[str, object] | None = None) -> Instan
             kwargs[spec.name] = spec.default
     if params:
         raise ParameterDomainError(f"unknown parameters for family {tag!r}: {sorted(params)}")
+    return family, kwargs
+
+
+def family_shape(tag: str, params: Mapping[str, object] | None = None) -> tuple[int, int]:
+    """The (n, m) of `build_family(tag, params)`, after the same parameter
+    checks, without building the instance."""
+    family, kwargs = _family_args(tag, params)
+    return family.shape(**kwargs)
+
+
+def build_family(tag: str, params: Mapping[str, object] | None = None) -> Instance:
+    """Instantiate a registered family from a parameter mapping."""
+    family, kwargs = _family_args(tag, params)
     return family.build(**kwargs)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 
 import transportgames as tg
+from transportgames import analysis
 from transportgames.analysis import (
+    SWEEP_MEASURES,
     eval_bound_expr,
     render_sweep,
     report_to_dict,
@@ -178,6 +181,32 @@ class TestSweeps:
         }
         with pytest.raises(ValueError, match="'grid' gives 100001 points, more than the 100000 allowed"):
             sweep_from_dict(doc)
+
+    @pytest.mark.parametrize("grid", [None, {}])
+    def test_null_or_empty_grid_adds_no_points(self, grid):
+        spec = sweep_from_dict({"family": "four-line", "grid": grid, "points": [{}], "bounds": [POA_GE_1]})
+        assert spec.points == ({},)
+
+    def test_over_budget_points_refused_before_building(self, monkeypatch):
+        def build(tag, params):
+            raise AssertionError(f"built {tag} {params}")
+
+        monkeypatch.setattr(analysis, "build_family", build)
+        rules = [{**POA_GE_1, "measure": measure} for measure in SWEEP_MEASURES]
+        points = [{"n": 100_000, "m": 2, "epsilon": 1}, {"n": 24, "m": 2, "epsilon": 1}]
+        spec = sweep_from_dict({"family": "uniform-star", "points": points, "bounds": rules})
+        start = time.perf_counter()
+        result = run_verify_bounds(spec)
+        assert time.perf_counter() - start < 1
+        assert [row.error for row in result.rows] == [
+            "BudgetExceededError: 2^100000 outcomes exceed the budget of 10000000"
+        ] * len(rules) + ["BudgetExceededError: 2^24 = 16777216 outcomes exceed the budget of 10000000"] * len(rules)
+
+    def test_domain_errors_come_before_the_budget(self):
+        spec = sweep_from_dict(
+            {"family": "zero-cluster-far", "points": [{"n": 30, "m": 40, "epsilon": 1}], "bounds": [POA_GE_1]}
+        )
+        assert [row.error for row in run_verify_bounds(spec).rows] == ["need n > m >= 2, got n=30, m=40"]
 
     def test_failing_bound_reported(self):
         spec = sweep_from_dict(

@@ -244,8 +244,26 @@ class TestVerifyBounds:
                 {"family": "four-line", "grid": {"a": list(range(400)), "b": list(range(251))}},
                 "'grid' gives 100400 points",
             ),
+            *(
+                (
+                    {
+                        "family": "four-line",
+                        "grid": grid,
+                        "points": [{}],
+                        "bounds": [{"function": "U", "measure": "poa", "relation": "ge", "expected": "1"}],
+                    },
+                    "sweep spec field 'grid' must be an object",
+                )
+                for grid in ([], 0, "", False, [1])
+            ),
         ],
-        ids=["array", "grid-int", "expected-number", "grid-too-large"],
+        ids=[
+            "array",
+            "grid-int",
+            "expected-number",
+            "grid-too-large",
+            *(f"grid-{kind}" for kind in ("empty-array", "zero", "empty-string", "false", "array")),
+        ],
     )
     def test_malformed_spec_is_an_error(self, tmp_path, spec, message):
         path = tmp_path / "sweep.json"

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import transportgames as tg
+from transportgames.engine import check_budget
 
 from support import NE_FREE, random_instance
 
@@ -37,6 +38,27 @@ class TestEnumeration:
 
     def test_space_size(self):
         assert tg.outcome_space_size(all_zero(4, 3)) == 81
+
+    @pytest.mark.parametrize(
+        "n, m, budget, message",
+        [
+            (5, 2, 32, None),
+            (5, 2, 31, "2^5 = 32 outcomes exceed the budget of 31"),
+            (100, 3, 3**100, None),
+            (14280, 2, 10**7, f"2^14280 = {2**14280} outcomes exceed the budget of 10000000"),  # 4,299 digits
+            (14300, 2, 10**7, "2^14300 outcomes exceed the budget of 10000000"),  # 4,305 digits
+            (10**9, 40, 10**7, "40^1000000000 outcomes exceed the budget of 10000000"),
+            (10**400, 2, 10**7, f"2^{10**400} outcomes exceed the budget of 10000000"),
+        ],
+        ids=["at-budget", "over-budget", "huge-budget", "long-count", "too-long-count", "not-computed", "n-past-float"],
+    )
+    def test_budget_check_and_text(self, n, m, budget, message):
+        if message is None:
+            check_budget(n, m, budget)
+        else:
+            with pytest.raises(tg.BudgetExceededError) as exc:
+                check_budget(n, m, budget)
+            assert str(exc.value) == message
 
 
 class TestNashCheck:

@@ -246,7 +246,11 @@ def tie_family(monkeypatch):
     def build(seed):
         return NE_FREE if seed < 0 else tie_instance(random.Random(seed))
 
-    monkeypatch.setitem(FAMILIES, "ties", Family("ties", "tie-heavy test games", (FamilyParam("seed", "int"),), build))
+    def shape(seed):
+        inst = build(seed)
+        return inst.n, inst.m
+
+    monkeypatch.setitem(FAMILIES, "ties", Family("ties", shape, (FamilyParam("seed", "int"),), build))
 
 
 # A sequential rule first builds the SPE summary with its own optimum pass;
