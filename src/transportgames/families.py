@@ -296,7 +296,9 @@ def gen_zero_cluster_single(n: int) -> Instance:
     return Instance(n, n, dist, (perm,) * n, declared_metric=True)
 
 
-def _random_metric_shape(n: int, m: int, seed: int, low: int = 1, high: int = 12, max_denominator: int = 8):
+def _random_metric_shape(
+    n: int, m: int, seed: int, low: int = 1, high: int = 12, max_denominator: int = 8
+) -> tuple[int, int]:
     if n < 1 or m < 2:
         raise ParameterDomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     if low < 0 or high < low:
