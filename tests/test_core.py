@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import transportgames as tg
-from transportgames import core
+from transportgames import core, engine
 from transportgames.core import rational_repr, scaled_rows, to_fraction
 
 from support import NE_FREE, fraction_closure, fraction_triangle_witness
@@ -321,8 +321,6 @@ class TestIntegerForm:
     """`Instance.scale` and `Instance.rows`: computed once, and canonical."""
 
     def test_scaled_once_per_construction(self, monkeypatch):
-        from transportgames import engine
-
         calls = []
 
         def counting(matrix):
