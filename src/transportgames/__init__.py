@@ -42,7 +42,6 @@ from .errors import (
     MalformedInstanceError,
     NoEquilibriumError,
     NonPositiveParameterError,
-    OracleBudgetExceededError,
     ParameterDomainError,
     PlayerOutOfRangeError,
     SetOverflowError,
@@ -65,8 +64,6 @@ from .families import (
 )
 from .sequential import (
     DEFAULT_NODE_SET_CAP,
-    DEFAULT_ORACLE_BUDGET,
-    spe_oracle,
     spe_outcomes,
     spoa,
     spos,

@@ -36,10 +36,6 @@ class SetOverflowError(TransportGameError):
     """A per-node result set grew beyond the configured cap."""
 
 
-class OracleBudgetExceededError(TransportGameError):
-    """Exhaustive strategy-profile enumeration would exceed its budget."""
-
-
 class NoEquilibriumError(TransportGameError):
     """The instance has no Nash equilibrium, so the ratio is undefined."""
 

@@ -1,17 +1,26 @@
 """Shared helpers for the test suite.
 
 The oracles here are deliberately independent re-implementations of the
-library's semantics (routes, social identities, shortest paths), so golden
-values never come from the code path under test.
+library's semantics (routes, social identities, shortest paths, subgame
+perfection), so golden values never come from the code path under test. They
+read the `Fraction` distances, never the kernels' scaled integers, so a
+scaling bug cannot hide on both sides of a comparison.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate, product
 
-from transportgames import DisconnectedGraphError, Instance
+from transportgames import DisconnectedGraphError, Instance, cost_vector, evaluate_outcomes
 from transportgames.core import to_fraction
+
+DEFAULT_ORACLE_BUDGET = 2_000_000
+
+
+class OracleBudgetExceededError(Exception):
+    """Exhaustive strategy-profile enumeration would exceed its budget."""
 
 # Frozen instance with no Nash equilibrium (found by seeded search, verified
 # by exhaustive deviation checks in test_simultaneous).
@@ -220,3 +229,51 @@ def zermelo_reference(inst: Instance, order):
         return best
 
     return solve([0] * inst.n, 0)
+
+
+def spe_oracle(inst: Instance, order=None, profile_budget=DEFAULT_ORACLE_BUDGET):
+    """Brute-force SPE reference: enumerate every strategy profile, keep those
+    that pass the one-shot deviation test at every decision node, and return
+    their realized outcomes as an `OutcomeSet`.
+
+    A profile holds one action per decision node; the nodes of stage `s` are
+    the earlier movers' actions read as base-m digits. Each outcome's costs
+    come from `core.cost_vector` once, indexed by the movers' actions in the
+    same digits. Only viable for tiny games.
+    """
+    n, m = inst.n, inst.m
+    movers = [p - 1 for p in (order or range(1, n + 1))]
+    sizes = [m**stage for stage in range(n)]
+    total = 1
+    for size in sizes:
+        total *= m**size
+        if total > profile_budget:
+            raise OracleBudgetExceededError(f"{total}+ strategy profiles exceed the oracle budget of {profile_budget}")
+    offsets = list(accumulate(sizes, initial=0))
+
+    outcomes, costs = [], []
+    for actions in product(range(1, m + 1), repeat=n):
+        sigma = [0] * n
+        for mover, bus in zip(movers, actions):
+            sigma[mover] = bus
+        outcomes.append(tuple(sigma))
+        costs.append(cost_vector(inst, sigma))
+
+    def leaf(table, stage, node, action):
+        """Index of the outcome reached when the mover at `node` of `stage`
+        takes `action` and every later mover follows `table`."""
+        for later in range(stage + 1, n):
+            node = node * m + action
+            action = table[offsets[later] + node]
+        return node * m + action
+
+    def one_shot(table, stage, node):
+        paid = [costs[leaf(table, stage, node, a)][movers[stage]] for a in range(m)]
+        return paid[table[offsets[stage] + node]] == min(paid)
+
+    realized = set()
+    for table in product(range(m), repeat=offsets[-1]):
+        # Deepest stages first: cheapest checks with the highest rejection rate.
+        if all(one_shot(table, stage, node) for stage in range(n - 1, -1, -1) for node in range(sizes[stage])):
+            realized.add(outcomes[leaf(table, 0, 0, table[0])])
+    return evaluate_outcomes(inst, realized)

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import transportgames as tg
 
-from support import random_instance
+from support import random_instance, spe_oracle
 
 
 def _passed(number, label):
@@ -36,7 +36,7 @@ def test_c02_four_line_sequential_vs_oracle():
     assert optimal_value == 3
     report = tg.spoa(inst, "E")
     assert report.ratio >= F(5, 3)
-    oracle = tg.spe_oracle(inst)
+    oracle = spe_oracle(inst)
     assert oracle.outcomes == spe.outcomes
     oracle_worst, _ = oracle.max_social("E")
     assert report.ratio == oracle_worst / optimal_value
@@ -160,7 +160,7 @@ def test_c10_oracle_equivalence_on_random_instances():
             perms.append(tuple(order))
         inst = tg.Instance(n, m, tuple(tuple(row) for row in dist), tuple(perms))
         spe = tg.spe_outcomes(inst)
-        assert tg.spe_oracle(inst).outcomes == spe.outcomes
+        assert spe_oracle(inst).outcomes == spe.outcomes
         outcome, _ = tg.zermelo_outcome(inst)
         assert spe.contains(outcome)
     _passed(10, "oracle equivalence and induction membership on 100 random instances")

@@ -1,6 +1,7 @@
 """Sequential game: SPE outcome sets, deterministic induction, the profile
-oracle, and the sequential ratios."""
+oracle of `support`, and the sequential ratios."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction as F
@@ -8,8 +9,9 @@ from fractions import Fraction as F
 import pytest
 
 import transportgames as tg
+from transportgames import engine
 
-from support import random_instance
+from support import OracleBudgetExceededError, random_instance, spe_oracle
 
 
 class TestSpeOutcomes:
@@ -95,13 +97,28 @@ class TestZermelo:
 
 class TestOracle:
     def test_profile_count(self):
-        assert tg.sequential.oracle_profile_count(tg.gen_nonmetric_spike(1)) == 128
+        inst = tg.gen_nonmetric_spike(1)  # 2 * 2^2 * 2^4 = 128 profiles
+        with pytest.raises(OracleBudgetExceededError):
+            spe_oracle(inst, profile_budget=127)
+        assert spe_oracle(inst, profile_budget=128).outcomes == tg.spe_outcomes(inst).outcomes
+
+    def test_independent_of_the_scaled_view(self, monkeypatch):
+        """The oracle reads `Fraction` costs, so a corrupted kernel view changes
+        `spe_outcomes` but not the oracle."""
+        inst = tg.gen_four_line()
+        expected = tg.spe_outcomes(inst).outcomes
+        view = engine.scaled_view(inst)
+        dist = list(view.dist)
+        dist[3 * (inst.n + 1) + inst.n] = 8  # player 4 to t, 1 in the game
+        monkeypatch.setattr(engine, "scaled_view", lambda _inst: dataclasses.replace(view, dist=tuple(dist)))
+        assert tg.spe_outcomes(inst).outcomes != expected
+        assert spe_oracle(inst).outcomes == expected
 
     def test_matches_backward_induction(self):
         rng = random.Random(17)
         for _ in range(25):
             inst = random_instance(rng, max_n=3, max_m=2)
-            assert tg.spe_oracle(inst).outcomes == tg.spe_outcomes(inst).outcomes
+            assert spe_oracle(inst).outcomes == tg.spe_outcomes(inst).outcomes
 
     def test_matches_with_shuffled_order(self):
         rng = random.Random(23)
@@ -109,16 +126,16 @@ class TestOracle:
             inst = random_instance(rng, max_n=3, max_m=2)
             order = list(range(1, inst.n + 1))
             rng.shuffle(order)
-            assert tg.spe_oracle(inst, order=order).outcomes == tg.spe_outcomes(inst, order=order).outcomes
+            assert spe_oracle(inst, order=order).outcomes == tg.spe_outcomes(inst, order=order).outcomes
 
     def test_single_player_ties(self):
         inst = tg.Instance(1, 2, ((0, 3), (3, 0)), ((1,), (1,)))
-        assert tg.spe_oracle(inst).outcomes == ((1,), (2,))
+        assert spe_oracle(inst).outcomes == ((1,), (2,))
 
     def test_budget_guard(self):
         inst = tg.gen_uniform_star(5, 2, 1, "identity")
-        with pytest.raises(tg.OracleBudgetExceededError):
-            tg.spe_oracle(inst)  # 2^31 profiles
+        with pytest.raises(OracleBudgetExceededError):
+            spe_oracle(inst)  # 2^31 profiles
 
 
 class TestSequentialRatios:
@@ -126,7 +143,7 @@ class TestSequentialRatios:
         inst = tg.gen_four_line()
         report = tg.spoa(inst, "E")
         assert report.ratio >= F(5, 3)
-        oracle = tg.spe_oracle(inst)
+        oracle = spe_oracle(inst)
         oracle_value, _ = oracle.max_social("E")
         assert report.ratio == oracle_value / report.optimal_value
 

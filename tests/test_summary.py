@@ -4,7 +4,7 @@
 built by one kernel pass per mode. These tests recompute every reported
 quantity from the definitions: all outcomes from `enumerate_outcomes`, values
 from `core.social_cost`, Nash equilibria from `find_improving_deviation` and
-SPE outcomes from the brute-force `spe_oracle`. Ties go to the
+SPE outcomes from the brute-force `support.spe_oracle`. Ties go to the
 lexicographically first outcome on both sides.
 """
 
@@ -23,7 +23,7 @@ from transportgames.families import FAMILIES, Family, FamilyParam
 from transportgames.sequential import spe_summary
 from transportgames.simultaneous import nash_summary
 
-from support import NE_FREE, random_instance, tie_instance
+from support import NE_FREE, random_instance, spe_oracle, tie_instance
 
 
 def reference_block(inst, tag, kept):
@@ -116,7 +116,7 @@ class TestAnalyzeAgainstDefinitions:
     @pytest.mark.parametrize("inst, order", sequential_pool())
     def test_sequential(self, inst, order):
         report = tg.analyze(inst, "sequential", order=order)
-        kept = list(tg.spe_oracle(inst, order=order).outcomes)
+        kept = list(spe_oracle(inst, order=order).outcomes)
         assert report.functions == tuple(reference_block(inst, tag, kept) for tag in tg.SOCIAL_TAGS)
         assert report.order == order
 
@@ -186,12 +186,12 @@ class TestOutcomeSets:
         if nash:
             self.check_extremes(inst, nash)
         self.check_extremes(inst, tg.spe_outcomes(inst, order))
-        self.check_extremes(small, tg.spe_oracle(small, small_order))
+        self.check_extremes(small, spe_oracle(small, small_order))
 
     def test_extremes_on_ne_free(self):
         assert not tg.enumerate_nash(NE_FREE)
         self.check_extremes(NE_FREE, tg.spe_outcomes(NE_FREE))
-        self.check_extremes(NE_FREE, tg.spe_oracle(NE_FREE, (3, 1, 2)))
+        self.check_extremes(NE_FREE, spe_oracle(NE_FREE, (3, 1, 2)))
 
     def test_seeds_hold_tied_extremes(self):
         """Some set holds two outcomes at its max, so the witness rule is exercised."""
