@@ -372,7 +372,11 @@ def sweep_from_dict(doc: object) -> SweepSpec:
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
-    return sweep_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"sweep spec {path} is nested too deeply to parse") from None
+    return sweep_from_dict(raw)
 
 
 @dataclass(frozen=True)

@@ -501,7 +501,7 @@ def dumps_instance(inst: Instance) -> str:
 def loads_instance(text: str) -> Instance:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise MalformedInstanceError([Violation("invalid-json", str(exc))]) from exc
     return validate_instance(raw)
 

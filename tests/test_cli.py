@@ -62,6 +62,21 @@ class TestValidate:
         assert len(result.output.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[" * 100_000, "maximum recursion depth"), ("1" * 5000, "limit (4300 digits)")],
+        ids=["deep", "long-int"],
+    )
+    def test_unparsable_json(self, tmp_path, command, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("invalid-json: ") and message in result.output
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
     def test_non_array_vertices(self, tmp_path, command):
         doc = {"n": 1, "m": 2, "vertices": 5, "distances": [[0, 1], [1, 0]], "permutations": [[1], [1]]}
         path = tmp_path / "bad.json"
@@ -256,6 +271,8 @@ class TestVerifyBounds:
                 )
                 for grid in ([], 0, "", False, [1])
             ),
+            ("[" * 100_000, "sweep.json is nested too deeply to parse"),
+            ("1" * 5000, "limit (4300 digits)"),
         ],
         ids=[
             "array",
@@ -263,11 +280,13 @@ class TestVerifyBounds:
             "expected-number",
             "grid-too-large",
             *(f"grid-{kind}" for kind in ("empty-array", "zero", "empty-string", "false", "array")),
+            "deep-text",
+            "long-int-text",
         ],
     )
     def test_malformed_spec_is_an_error(self, tmp_path, spec, message):
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))  # json.dumps cannot nest that deep
         result = runner.invoke(main, ["verify-bounds", "--spec", str(path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
