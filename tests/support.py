@@ -22,6 +22,7 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 class OracleBudgetExceededError(Exception):
     """Exhaustive strategy-profile enumeration would exceed its budget."""
 
+
 # Frozen instance with no Nash equilibrium (found by seeded search, verified
 # by exhaustive deviation checks in test_simultaneous).
 NE_FREE = Instance(

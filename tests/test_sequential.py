@@ -105,11 +105,11 @@ class TestOracle:
     def test_independent_of_the_scaled_view(self, monkeypatch):
         """The oracle reads `Fraction` costs, so a corrupted kernel view changes
         `spe_outcomes` but not the oracle."""
-        inst = tg.gen_four_line()
+        inst = tg.gen_nonmetric_spike(10)
         expected = tg.spe_outcomes(inst).outcomes
         view = engine.scaled_view(inst)
         dist = list(view.dist)
-        dist[3 * (inst.n + 1) + inst.n] = 8  # player 4 to t, 1 in the game
+        dist[1 * (inst.n + 1) + inst.n] = 20  # player 2 to t, 0 in the game
         monkeypatch.setattr(engine, "scaled_view", lambda _inst: dataclasses.replace(view, dist=tuple(dist)))
         assert tg.spe_outcomes(inst).outcomes != expected
         assert spe_oracle(inst).outcomes == expected
